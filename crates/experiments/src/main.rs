@@ -2,7 +2,9 @@
 //!
 //! Exit codes: `0` success, `1` runtime (I/O) failure, `2` usage error
 //! (unknown command/option or a malformed value — the offending token is
-//! echoed with the usage text).
+//! echoed with the usage text). A closed stdout (`experiments … | head`)
+//! is not a failure: the rest of the report is dropped, files are still
+//! written, and the exit code is the run's own.
 
 use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl, CheckpointOutcome};
 use aegis_experiments::runner::RunOptions;
@@ -16,6 +18,55 @@ use pcm_sim::montecarlo::FailureCriterion;
 use sim_telemetry::{RunState, RunTelemetry, SeriesWriter, Span, StatusWriter, TraceSpan, Tracer};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Report output on stdout that survives a reader closing the pipe.
+mod pipe {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+
+    /// Writes and flushes `args` to stdout. The first `BrokenPipe` marks
+    /// stdout closed and later output is dropped, so the command still
+    /// writes its files and exits with its own code. Any other stdout
+    /// error is a runtime I/O failure: exit 1.
+    pub fn write(args: std::fmt::Arguments<'_>) {
+        if closed() {
+            return;
+        }
+        let mut stdout = std::io::stdout().lock();
+        if let Err(err) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+            if err.kind() == std::io::ErrorKind::BrokenPipe {
+                CLOSED.store(true, Ordering::Relaxed);
+            } else {
+                eprintln!("stdout: {err}");
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// Whether the stdout reader has gone away.
+    pub fn closed() -> bool {
+        CLOSED.load(Ordering::Relaxed)
+    }
+}
+
+/// `print!` through [`pipe::write`].
+macro_rules! pipe_print {
+    ($($arg:tt)*) => {
+        pipe::write(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`pipe::write`].
+macro_rules! pipe_println {
+    () => {
+        pipe::write(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        pipe::write(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 const USAGE: &str = "\
 Usage: experiments <COMMAND> [OPTIONS]
@@ -373,9 +424,9 @@ fn run_table1(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("table1.analytic")?;
         table1::run(512)
     };
-    println!("{}", table1::report(&table));
+    pipe_println!("{}", table1::report(&table));
     for note in table1::diff_against_paper(&table) {
-        println!("note: {note} (documented in EXPERIMENTS.md)");
+        pipe_println!("note: {note} (documented in EXPERIMENTS.md)");
     }
     table1::write_csv(&table, ctx.out)
 }
@@ -408,13 +459,13 @@ fn run_fig567(command: &str, ctx: &Ctx) -> std::io::Result<()> {
         }
     };
     if matches!(command, "fig5" | "all") {
-        println!("{}", fig567::report_fig5(&results));
+        pipe_println!("{}", fig567::report_fig5(&results));
     }
     if matches!(command, "fig6" | "all") {
-        println!("{}", fig567::report_fig6(&results));
+        pipe_println!("{}", fig567::report_fig6(&results));
     }
     if matches!(command, "fig7" | "all") {
-        println!("{}", fig567::report_fig7(&results));
+        pipe_println!("{}", fig567::report_fig7(&results));
     }
     fig567::write_csvs(&results, ctx.out)
 }
@@ -439,7 +490,7 @@ fn run_fig8(ctx: &Ctx) -> std::io::Result<()> {
             },
         }
     };
-    println!("{}", fig8::report(&results));
+    pipe_println!("{}", fig8::report(&results));
     fig8::write_csv(&results, ctx.out)
 }
 
@@ -452,7 +503,7 @@ fn run_failcdf(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("failcdf.montecarlo")?;
         failcdf::run(ctx.opts)
     };
-    println!("{}", failcdf::report(&results));
+    pipe_println!("{}", failcdf::report(&results));
     failcdf::write_csv(&results, ctx.out)
 }
 
@@ -465,7 +516,7 @@ fn run_fig9(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("fig9.montecarlo")?;
         fig9::run_with(ctx.opts, &ctx.observer())
     };
-    println!("{}", fig9::report(&results));
+    pipe_println!("{}", fig9::report(&results));
     fig9::write_csv(&results, ctx.out)
 }
 
@@ -478,7 +529,7 @@ fn run_fig10(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("fig10.montecarlo")?;
         fig10::run(ctx.opts)
     };
-    println!("{}", fig10::report(&results));
+    pipe_println!("{}", fig10::report(&results));
     fig10::write_csv(&results, ctx.out)
 }
 
@@ -489,13 +540,13 @@ fn run_variants(command: &str, ctx: &Ctx) -> std::io::Result<()> {
         variants::run_with(ctx.opts, &ctx.observer())
     };
     if matches!(command, "fig11" | "all") {
-        println!("{}", variants::report_fig11(&results));
+        pipe_println!("{}", variants::report_fig11(&results));
     }
     if matches!(command, "fig12" | "all") {
-        println!("{}", variants::report_fig12(&results));
+        pipe_println!("{}", variants::report_fig12(&results));
     }
     if matches!(command, "fig13" | "all") {
-        println!("{}", variants::report_fig13(&results));
+        pipe_println!("{}", variants::report_fig13(&results));
     }
     variants::write_csvs(&results, ctx.out)
 }
@@ -506,7 +557,7 @@ fn run_wearlevel(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("wearlevel.sim")?;
         wearlevel_check::run(256, 2_000_000, ctx.opts.seed)
     };
-    println!("{}", wearlevel_check::report(&results));
+    pipe_println!("{}", wearlevel_check::report(&results));
     wearlevel_check::write_csv(&results, ctx.out)
 }
 
@@ -519,7 +570,7 @@ fn run_payg(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("payg.montecarlo")?;
         payg_check::run(ctx.opts)
     };
-    println!("{}", payg_check::report(&results));
+    pipe_println!("{}", payg_check::report(&results));
     payg_check::write_csv(&results, ctx.out)
 }
 
@@ -529,7 +580,7 @@ fn run_cachestudy(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("cachestudy.sim")?;
         cachestudy::run(16, ctx.opts.seed)
     };
-    println!("{}", cachestudy::report(&results));
+    pipe_println!("{}", cachestudy::report(&results));
     cachestudy::write_csv(&results, ctx.out)
 }
 
@@ -542,7 +593,7 @@ fn run_osassist(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("osassist.montecarlo")?;
         osassist::run(ctx.opts)
     };
-    println!("{}", osassist::report(&results));
+    pipe_println!("{}", osassist::report(&results));
     osassist::write_csv(&results, ctx.out)
 }
 
@@ -557,7 +608,7 @@ fn run_writecost(ctx: &Ctx) -> std::io::Result<()> {
             ctx.tel.is_enabled().then(|| ctx.tel.registry()),
         )
     };
-    println!("{}", writecost::report(&results));
+    pipe_println!("{}", writecost::report(&results));
     writecost::write_csv(&results, ctx.out)
 }
 
@@ -567,7 +618,7 @@ fn run_biasstudy(ctx: &Ctx) -> std::io::Result<()> {
         let _span = ctx.span("biasstudy.sim")?;
         biasstudy::run(200, ctx.opts.seed)
     };
-    println!("{}", biasstudy::report(&results));
+    pipe_println!("{}", biasstudy::report(&results));
     biasstudy::write_csv(&results, ctx.out)
 }
 
@@ -1088,15 +1139,15 @@ fn run_merge(cli: &Cli) -> ExitCode {
         match &results {
             Merged::Fig567(results) => {
                 match command.as_str() {
-                    "fig5" => println!("{}", fig567::report_fig5(results)),
-                    "fig6" => println!("{}", fig567::report_fig6(results)),
-                    "fig7" => println!("{}", fig567::report_fig7(results)),
+                    "fig5" => pipe_println!("{}", fig567::report_fig5(results)),
+                    "fig6" => pipe_println!("{}", fig567::report_fig6(results)),
+                    "fig7" => pipe_println!("{}", fig567::report_fig7(results)),
                     _ => {}
                 }
                 fig567::write_csvs(results, &cli.out_dir)?;
             }
             Merged::Fig8(results) => {
-                println!("{}", fig8::report(results));
+                pipe_println!("{}", fig8::report(results));
                 fig8::write_csv(results, &cli.out_dir)?;
             }
         }
@@ -1127,7 +1178,7 @@ fn run_telemetry_report(cli: &Cli) -> ExitCode {
     };
     match telemetry::report_checked(run_id, &telemetry::dir(&cli.out_dir)) {
         Ok((text, skipped)) => {
-            println!("{text}");
+            pipe_println!("{text}");
             match telemetry::skipped_lines_diagnostic("telemetry-report", &skipped) {
                 None => ExitCode::SUCCESS,
                 Some(diagnostic) => {
@@ -1150,7 +1201,7 @@ fn run_telemetry_analyze(cli: &Cli) -> ExitCode {
     };
     match analyze::analyze(run_id, &telemetry::dir(&cli.out_dir), cli.top) {
         Ok(analysis) => {
-            println!("{}", analysis.report);
+            pipe_println!("{}", analysis.report);
             if analysis.dropped > 0 {
                 eprintln!(
                     "telemetry-analyze: warning: {} trace record(s) were dropped; \
@@ -1192,19 +1243,18 @@ fn run_monitor(cli: &Cli) -> ExitCode {
             }
         };
         if cli.json {
-            println!("{}", monitor::render_json(&snapshot));
+            pipe_println!("{}", monitor::render_json(&snapshot));
         } else {
             if !cli.once {
                 // Clear and home so each refresh redraws in place.
-                print!("\x1b[2J\x1b[H");
+                pipe_print!("\x1b[2J\x1b[H");
             }
-            print!(
+            pipe_print!(
                 "{}",
                 monitor::render(&snapshot, sim_telemetry::unix_millis())
             );
-            let _ = std::io::Write::flush(&mut std::io::stdout());
         }
-        if cli.once {
+        if cli.once || pipe::closed() {
             return ExitCode::SUCCESS;
         }
         std::thread::sleep(std::time::Duration::from_secs(cli.interval.max(1)));
@@ -1224,7 +1274,7 @@ fn run_telemetry_diff(cli: &Cli) -> ExitCode {
         .map_or(diff::DiffMode::Interval, diff::DiffMode::Threshold);
     match diff::diff_runs(&telemetry::dir(&cli.out_dir), run_a, run_b, mode) {
         Ok(outcome) => {
-            print!("{}", outcome.report);
+            pipe_print!("{}", outcome.report);
             if outcome.drift {
                 eprintln!("telemetry-diff: runs '{run_a}' and '{run_b}' drifted");
                 ExitCode::FAILURE
@@ -1282,10 +1332,10 @@ fn run_trace_block(cli: &Cli, page: usize, block: usize) -> ExitCode {
     };
     for (i, policy) in policies.iter().enumerate() {
         if i > 0 {
-            println!();
+            pipe_println!();
         }
         let trace = forensics::trace_block(policy.as_ref(), &timeline, cfg.criterion);
-        print!("{}", trace.report(&cfg));
+        pipe_print!("{}", trace.report(&cfg));
     }
     ExitCode::SUCCESS
 }

@@ -78,6 +78,35 @@ fn quiet_suppresses_status_output_but_not_reports() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A reader that closes the pipe before the report (`experiments … | head
+/// -1`) must not crash the run: no panic, the CSV is still written, and the
+/// exit code is the run's own success code.
+#[test]
+fn closed_stdout_pipe_drops_the_report_and_exits_0() {
+    let dir = std::env::temp_dir().join("aegis-cli-closed-stdout");
+    for (args, csv) in [
+        (&["table1"][..], "table1.csv"),
+        (&["fig8", "--pages", "2"][..], "fig8.csv"),
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        // Closed before the child writes a byte, so every write sees EPIPE.
+        drop(reader);
+        let output = experiments()
+            .args(args)
+            .arg("--out")
+            .arg(&dir)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(dir.join(csv).is_file(), "{args:?}: {csv} not written");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn table1_prints_the_paper_rows_and_writes_csv() {
     let dir = std::env::temp_dir().join("aegis-cli-test-table1");

@@ -77,11 +77,19 @@ impl LifetimeModel {
     /// cell survives at least its first write.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         loop {
-            let draw = self.mean + self.std_dev * standard_normal(rng);
+            let draw = self.at(standard_normal(rng));
             if draw > 0.0 {
                 return draw;
             }
         }
+    }
+
+    /// The (untruncated) lifetime at standard-normal deviate `z`:
+    /// `mean + std_dev · z`.
+    #[inline]
+    #[must_use]
+    pub(crate) fn at(&self, z: f64) -> f64 {
+        self.mean + self.std_dev * z
     }
 }
 
@@ -98,6 +106,18 @@ impl Default for LifetimeModel {
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random();
+    box_muller(u1, u2)
+}
+
+/// The Box–Muller deviate `sqrt(−2 ln u1) · cos(2π u2)` of one uniform pair,
+/// `u1 ∈ (0, 1]`, `u2 ∈ [0, 1)`.
+///
+/// The single definition of the arithmetic: [`standard_normal`] and the
+/// timeline sampler (which draws the pairs first and evaluates only the
+/// ones that can matter) both call it, so their deviates agree to the bit.
+#[inline]
+#[must_use]
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 

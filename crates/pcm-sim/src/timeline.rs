@@ -8,9 +8,10 @@
 //! are evaluated *against* timelines, so every scheme sees exactly the same
 //! random world (common random numbers).
 
+use crate::lifetime::box_muller;
 use crate::{Fault, LifetimeModel, WearModel};
 use sim_rng::SmallRng;
-use sim_rng::{Rng, SeedableRng};
+use sim_rng::{Bernoulli, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -207,24 +208,173 @@ impl TimelineSampler {
 
     /// Samples the fault timeline of one data block.
     pub fn sample_block<R: Rng + ?Sized>(&self, rng: &mut R) -> BlockTimeline {
-        let mut cells: Vec<(f64, usize)> = (0..self.block_bits)
-            .map(|offset| (self.wear.fault_time(self.lifetime.sample(rng)), offset))
-            .collect();
-        // Only the earliest `max_events` failures can matter.
-        cells.sort_by(|a, b| a.0.total_cmp(&b.0));
-        cells.truncate(self.max_events);
-        let events = cells
+        self.sample_block_with(rng, &self.plan(), &mut CellBuffers::default())
+    }
+
+    /// Samples the fault timeline of a page of `blocks_per_page` data
+    /// blocks.
+    pub fn sample_page<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        blocks_per_page: usize,
+    ) -> PageTimeline {
+        let plan = self.plan();
+        let mut buffers = CellBuffers::default();
+        PageTimeline {
+            blocks: (0..blocks_per_page)
+                .map(|_| self.sample_block_with(rng, &plan, &mut buffers))
+                .collect(),
+        }
+    }
+
+    /// The per-sampler constants of [`Self::sample_block_with`].
+    fn plan(&self) -> SamplePlan {
+        let (mean, sd) = (self.lifetime.mean(), self.lifetime.std_dev());
+        // A draw `mean + sd·z` can be non-positive only if the Box–Muller
+        // radius sqrt(−2 ln u1) reaches mean/sd, i.e. u1 ≤ exp(−(mean/sd)²/2).
+        let c = mean / sd;
+        let reject_u1 = (-0.5 * c * c * (1.0 - GATE_SLACK)).exp();
+        SamplePlan {
+            reject_u1,
+            gates: self.gates(c),
+            stuck_one: Bernoulli::new(self.stuck_one_probability),
+            partial: (self.partial_fraction > 0.0).then(|| Bernoulli::new(self.partial_fraction)),
+        }
+    }
+
+    /// The candidate gates for this sampler's block shape, by ascending
+    /// threshold `T`; empty where every cell is evaluated exactly.
+    ///
+    /// Each `T` is the lowest grid point below which a block is expected to
+    /// hold `max_events` cells with some binomial standard deviations to
+    /// spare: [`FIRST_GATE_SIGMAS`] for a tight first try that most blocks
+    /// pass, [`LAST_GATE_SIGMAS`] for a safe widening after which the exact
+    /// fallback almost never runs. Only `T ≤ 0` gates (above that a gate
+    /// would admit most cells anyway), and only when `sd > 0` and the
+    /// rejected left tail below `−mean/sd` is negligible (`mean ≥ 3 sd`),
+    /// since that tail thins the count of cells below `T`. The thresholds
+    /// affect speed only, never the sampled events.
+    fn gates(&self, c: f64) -> Vec<Gate> {
+        let sd = self.lifetime.std_dev();
+        if !(sd > 0.0 && sd.is_finite() && c >= 3.0) {
+            return Vec::new();
+        }
+        let (n, k) = (self.block_bits as f64, self.max_events as f64);
+        let threshold = |sigmas: f64| {
+            NORMAL_CDF_GRID
+                .iter()
+                .find(|&&(_, p)| n * p - k >= sigmas * (n * p * (1.0 - p)).sqrt())
+                .map(|&(t, _)| t)
+        };
+        let (Some(first), Some(last)) = (threshold(FIRST_GATE_SIGMAS), threshold(LAST_GATE_SIGMAS))
+        else {
+            return Vec::new();
+        };
+        let mut thresholds = vec![first];
+        if last > first {
+            thresholds.push(last);
+        }
+        thresholds
             .into_iter()
-            .map(|(time, offset)| {
+            .filter_map(|t| Gate::at(self, t))
+            .collect()
+    }
+
+    /// Fault time of the cell whose accepted uniform pair is `(u1, u2)`:
+    /// exactly what `wear.fault_time(lifetime.sample(rng))` returns for it.
+    #[inline]
+    fn fault_time_of(&self, (u1, u2): (f64, f64)) -> f64 {
+        self.wear.fault_time(self.lifetime.at(box_muller(u1, u2)))
+    }
+
+    /// [`Self::sample_block`] with precomputed constants and reused
+    /// buffers.
+    ///
+    /// Consumes the RNG exactly as the sort-based sampler does (per cell:
+    /// `u1 = 1 − U`, `u2 = U`, redrawn while the lifetime is non-positive;
+    /// then per kept event: stuck value, kind, split seed) and keeps the
+    /// same `max_events` events in the same `(time, offset)` order, but
+    /// evaluates Box–Muller only for cells a gate admits and sorts only the
+    /// survivors.
+    fn sample_block_with<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        plan: &SamplePlan,
+        buffers: &mut CellBuffers,
+    ) -> BlockTimeline {
+        let CellBuffers {
+            pairs,
+            admitted,
+            cells,
+        } = buffers;
+        pairs.clear();
+        pairs.extend((0..self.block_bits).map(|_| loop {
+            let u1 = 1.0 - rng.random::<f64>();
+            let u2: f64 = rng.random();
+            // `lifetime.sample`'s `draw > 0` test, skipped where it cannot fail.
+            if u1 > plan.reject_u1 || self.lifetime.at(box_muller(u1, u2)) > 0.0 {
+                break (u1, u2);
+            }
+        }));
+        let k = self.max_events;
+        cells.clear();
+        // Each gate admits a superset of the previous one's cells; only the
+        // newly admitted ones are evaluated.
+        let mut gated = false;
+        let mut previous: Option<&Gate> = None;
+        for gate in &plan.gates {
+            // Branch-free compaction: the gates' verdicts are coin flips,
+            // which a branch per cell would mispredict.
+            admitted.resize(self.block_bits, 0);
+            let mut count = 0;
+            for (offset, &pair) in pairs.iter().enumerate() {
+                admitted[count] = offset;
+                let seen = previous.is_some_and(|p| p.admits(pair));
+                count += usize::from(gate.admits(pair) & !seen);
+            }
+            cells.extend(
+                admitted[..count]
+                    .iter()
+                    .map(|&offset| cell_key(self.fault_time_of(pairs[offset]), offset)),
+            );
+            // Every cell the gate rejected has z ≥ T, hence (fault time
+            // being monotone in z) time ≥ time_T: if the k-th earliest
+            // admitted cell is strictly earlier, no rejected cell can be
+            // among the first k. (Offset 0 makes the key comparison a strict
+            // comparison of times.)
+            if cells.len() >= k {
+                select_earliest(cells, k);
+                if cells[k - 1] < cell_key(gate.time_t, 0) {
+                    gated = true;
+                    break;
+                }
+            }
+            previous = Some(gate);
+        }
+        if !gated {
+            cells.clear();
+            cells.extend(
+                pairs
+                    .iter()
+                    .enumerate()
+                    .map(|(offset, &pair)| cell_key(self.fault_time_of(pair), offset)),
+            );
+            select_earliest(cells, k);
+        }
+        cells.truncate(k);
+        cells.sort_unstable();
+        let events = cells
+            .iter()
+            .map(|&key| {
+                let (time, offset) = (f64::from_bits((key >> 64) as u64), key as u64 as usize);
                 // A cell sticks at whatever it held when it died; under
                 // random write data that is a fair coin (bias configurable
                 // via `with_stuck_bias`).
-                let stuck = rng.random_bool(self.stuck_one_probability);
-                // The kind draw is gated on the mix being enabled so a
+                let stuck = plan.stuck_one.sample(rng);
+                // The kind draw is skipped when the mix is disabled so a
                 // zero-fraction sampler consumes exactly the legacy
                 // entropy (stuck value, then split seed).
-                let fault = if self.partial_fraction > 0.0 && rng.random_bool(self.partial_fraction)
-                {
+                let fault = if plan.partial.is_some_and(|p| p.sample(rng)) {
                     Fault::partial(offset, stuck, self.weak_success_q8)
                 } else {
                     Fault::new(offset, stuck)
@@ -237,20 +387,6 @@ impl TimelineSampler {
             })
             .collect();
         BlockTimeline { events }
-    }
-
-    /// Samples the fault timeline of a page of `blocks_per_page` data
-    /// blocks.
-    pub fn sample_page<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        blocks_per_page: usize,
-    ) -> PageTimeline {
-        PageTimeline {
-            blocks: (0..blocks_per_page)
-                .map(|_| self.sample_block(rng))
-                .collect(),
-        }
     }
 
     /// Deterministic per-page RNG: every policy evaluated on page `index`
@@ -267,6 +403,132 @@ impl TimelineSampler {
     }
 }
 
+/// Slack on every gate bound (relative; absolute on the `u2` window): far
+/// above the few-ulp error of the floating-point Box–Muller evaluation, so
+/// rounding can never make a gate reject a cell that belongs in the
+/// timeline.
+const GATE_SLACK: f64 = 1e-6;
+
+/// Binomial standard deviations of headroom the first gate's threshold
+/// keeps above the expected count of `max_events` cells (see
+/// [`TimelineSampler::gates`]).
+const FIRST_GATE_SIGMAS: f64 = 1.0;
+
+/// Headroom of the last, widest gate's threshold.
+const LAST_GATE_SIGMAS: f64 = 4.0;
+
+/// `(T, Φ(T))` for the candidate thresholds, ascending; Φ is the standard
+/// normal CDF. Rounded values are fine: they pick `T`, which only moves
+/// speed.
+const NORMAL_CDF_GRID: [(f64, f64); 16] = [
+    (-3.0, 0.00135),
+    (-2.8, 0.00256),
+    (-2.6, 0.00466),
+    (-2.4, 0.00820),
+    (-2.2, 0.01390),
+    (-2.0, 0.02275),
+    (-1.8, 0.03593),
+    (-1.6, 0.05480),
+    (-1.4, 0.08076),
+    (-1.2, 0.11507),
+    (-1.0, 0.15866),
+    (-0.8, 0.21186),
+    (-0.6, 0.27425),
+    (-0.4, 0.34458),
+    (-0.2, 0.42074),
+    (0.0, 0.5),
+];
+
+/// Constants of one sampler's fast path, computed once per page.
+#[derive(Debug)]
+struct SamplePlan {
+    /// Pairs with `u1` above this cannot give a non-positive lifetime, so
+    /// the rejection test skips Box–Muller for them.
+    reject_u1: f64,
+    /// Gates by ascending threshold (see [`TimelineSampler::gates`]).
+    gates: Vec<Gate>,
+    /// The stuck-value draw, `random_bool(stuck_one_probability)`.
+    stuck_one: Bernoulli,
+    /// The partially-stuck draw; `None` when the mix is off, so no word is
+    /// drawn.
+    partial: Option<Bernoulli>,
+}
+
+/// A conservative filter for cells whose deviate can fall below a
+/// threshold `T ≤ 0` (see DESIGN.md, "Timeline sampler").
+#[derive(Debug)]
+struct Gate {
+    /// `exp(−T²/2)` with slack: `z < T` needs radius `> |T|`, i.e. `u1`
+    /// below this.
+    u1_max: f64,
+    /// `T²` with slack.
+    t_sq: f64,
+    /// `fault_time(mean + sd·T)`: every cell the gate rejects fails no
+    /// earlier than this.
+    time_t: f64,
+}
+
+impl Gate {
+    /// The gate of threshold `t ≤ 0` for `sampler`, or `None` if a
+    /// lifetime at `t` is not positive (no accepted cell could beat it).
+    fn at(sampler: &TimelineSampler, t: f64) -> Option<Self> {
+        let time_t = sampler.wear.fault_time(sampler.lifetime.at(t));
+        (time_t > 0.0).then(|| Gate {
+            u1_max: (-0.5 * t * t * (1.0 - GATE_SLACK)).exp(),
+            t_sq: t * t * (1.0 - GATE_SLACK),
+            time_t,
+        })
+    }
+
+    /// Whether `z = sqrt(−2 ln u1)·cos(2πu2) < T` is possible. Every test
+    /// is a necessary condition, so a `false` is certain. Evaluated without
+    /// short-circuits, so it compiles to straight-line code.
+    #[inline]
+    fn admits(&self, (u1, u2): (f64, f64)) -> bool {
+        // z < T ≤ 0 needs cos(2πu2) < 0, i.e. u2 ∈ (¼, ¾).
+        let in_window = (u2 > 0.25 - GATE_SLACK) & (u2 < 0.75 + GATE_SLACK);
+        // With φ = 2πu2 − π, z = −r·cos φ, and cos φ ≤ 1 − φ²/2 + φ⁴/24
+        // (positive on |φ| ≤ π/2 + slack), while r² = −2 ln u1 ≤ 1/u1 − u1.
+        // So z < T needs r > |T| (u1 below u1_max) and
+        // (1/u1 − u1)·(1 − φ²/2 + φ⁴/24)² > T², here multiplied through by
+        // u1 > 0 to avoid a division. At T = 0 the two reduce to r > 0,
+        // i.e. u1 < 1.
+        let phi = std::f64::consts::TAU * u2 - std::f64::consts::PI;
+        let phi_sq = phi * phi;
+        let cos_max = 1.0 - phi_sq * (0.5 - phi_sq / 24.0);
+        let far = (u1 < self.u1_max) & ((1.0 - u1 * u1) * cos_max * cos_max > self.t_sq * u1);
+        in_window & far
+    }
+}
+
+/// Reused per-page scratch of the sampler.
+#[derive(Debug, Default)]
+struct CellBuffers {
+    /// Every cell's accepted `(u1, u2)` pair, by offset.
+    pairs: Vec<(f64, f64)>,
+    /// Offsets a gate newly admitted, compacted to the front.
+    admitted: Vec<usize>,
+    /// [`cell_key`]s of the cells evaluated exactly.
+    cells: Vec<u128>,
+}
+
+/// A cell's sort key: the fault time's bits above the offset.
+///
+/// Accepted lifetimes are positive and participation is in `(0, 1]`, so
+/// every fault time is positive, and positive `f64` bit patterns order
+/// exactly as the values (and as `total_cmp`) do. Integer order of the
+/// keys is therefore the sort-based sampler's stable sort by time: by
+/// time, then offset. One integer compares faster than a tuple.
+fn cell_key(time: f64, offset: usize) -> u128 {
+    (u128::from(time.to_bits()) << 64) | offset as u128
+}
+
+/// Moves the `k` earliest of at least `k ≥ 1` cells to the front, the
+/// k-th earliest at `k − 1` and the rest before it in no order.
+fn select_earliest(cells: &mut [u128], k: usize) {
+    cells.select_nth_unstable(k - 1);
+}
+
 /// Default cap on distinct pages a [`TimelineCache`] retains.
 pub const DEFAULT_TIMELINE_CACHE_PAGES: usize = 16_384;
 
@@ -275,10 +537,12 @@ pub const DEFAULT_TIMELINE_CACHE_PAGES: usize = 16_384;
 /// Timelines are the engine's common random numbers: every scheme evaluated
 /// under one `(master_seed, page, blocks_per_page, sampler)` tuple sees the
 /// *identical* timeline by construction, yet historically each scheme
-/// re-sampled it from the per-page RNG. Sampling dominates chip-sweep wall
-/// clock (it is ~86% of `fig5 --full`), so a sweep over S schemes pays the
-/// cost S times for bit-identical data. The cache samples each page once
-/// and hands out `Arc` clones to every subsequent run.
+/// re-sampled it from the per-page RNG. Sampling is one of the largest
+/// layers of a chip sweep: even with this cache it is about a fifth of the
+/// CPU of a traced `perfbench` fig5-sweep run on a 2-core x86-64 host.
+/// Without the cache a sweep over S schemes pays that cost S times for
+/// bit-identical data. The cache samples each page once and hands out
+/// `Arc` clones to every subsequent run.
 ///
 /// # Determinism
 ///
@@ -551,6 +815,126 @@ mod tests {
     #[should_panic(expected = "probability out of range")]
     fn bad_partial_fraction_panics() {
         let _ = TimelineSampler::paper_default(64).with_partial_mix(-0.1, 128);
+    }
+
+    #[test]
+    fn gate_never_rejects_a_deviate_below_its_threshold() {
+        let sampler = TimelineSampler::paper_default(512);
+        let mut rng = SmallRng::seed_from_u64(21);
+        for &(t, _) in &NORMAL_CDF_GRID {
+            let gate = Gate::at(&sampler, t).expect("positive lifetime at every grid point");
+            let mut below = 0usize;
+            for i in 0..200_000u32 {
+                let (a, b): (f64, f64) = (rng.random(), rng.random());
+                let (u1, u2) = match i % 4 {
+                    // Uniform pairs.
+                    0 => (1.0 - a, b),
+                    // Large radii (u1 down to e⁻²⁰) anywhere in the window.
+                    1 => ((-20.0 * a).exp(), 0.25 + 0.5 * b),
+                    // Within 1e-12 of a quarter-turn edge of the window.
+                    2 => (
+                        (-20.0 * a).exp(),
+                        [0.25, 0.75][i as usize / 4 % 2] + (b - 0.5) * 2e-12,
+                    ),
+                    // Radius within 1e-6 of |T| near φ = 0, where the u1 and
+                    // Taylor bounds are tightest.
+                    _ => (
+                        (-0.5 * t * t).exp() * (1.0 + (a - 0.5) * 2e-6),
+                        0.5 + (b - 0.5) * 1e-3,
+                    ),
+                };
+                if box_muller(u1, u2) < t {
+                    below += 1;
+                    assert!(gate.admits((u1, u2)), "T={t}: rejected ({u1}, {u2})");
+                }
+            }
+            assert!(below > 0, "T={t}: no deviate below the threshold");
+        }
+    }
+
+    #[test]
+    fn gates_are_picked_from_the_block_shape() {
+        let thresholds = |sampler: TimelineSampler| -> Vec<f64> {
+            let gates = sampler.plan().gates;
+            gates
+                .iter()
+                .map(|g| -(g.t_sq / (1.0 - GATE_SLACK)).sqrt())
+                .collect()
+        };
+        let shape = |bits: usize, k: usize| {
+            thresholds(TimelineSampler::new(
+                bits,
+                LifetimeModel::paper_default(),
+                WearModel::paper_default(),
+                k,
+            ))
+        };
+        let close = |got: Vec<f64>, want: &[f64]| {
+            got.len() == want.len() && got.iter().zip(want).all(|(g, w)| (g - w).abs() < 1e-9)
+        };
+        assert!(close(shape(512, 96), &[-0.8, -0.6]));
+        assert!(close(shape(256, 96), &[-0.2, 0.0]));
+        // The whole block, or a cap too close to half of it: no gate.
+        assert!(shape(512, 512).is_empty());
+        assert!(shape(7, 1).is_empty());
+        // No spread, or a heavy truncated tail: no gate either.
+        let paper = WearModel::paper_default();
+        assert!(thresholds(TimelineSampler::new(
+            512,
+            LifetimeModel::new(1e8, 0.0),
+            paper,
+            96
+        ))
+        .is_empty());
+        assert!(thresholds(TimelineSampler::new(
+            512,
+            LifetimeModel::new(1e8, 1.0),
+            paper,
+            96
+        ))
+        .is_empty());
+    }
+
+    #[test]
+    fn exact_fallback_keeps_aggressive_thresholds_byte_identical() {
+        // Gate chains whose thresholds sit far below (too few candidates)
+        // and around (k-th candidate not before time_T) the 96th of 512
+        // order statistic force widening and the exact fallback; every
+        // chain must sample what the ungated exact path samples, and leave
+        // the RNG in the same state.
+        let sampler = TimelineSampler::paper_default(512).with_partial_mix(0.25, 128);
+        let exact = SamplePlan {
+            gates: Vec::new(),
+            ..sampler.plan()
+        };
+        let chains: [&[f64]; 7] = [
+            &[-2.0],
+            &[-0.9],
+            &[0.0],
+            &[-2.0, -1.0],
+            &[-1.0, -0.9],
+            &[-0.9, -0.8],
+            &[-0.8, -0.6],
+        ];
+        for chain in chains {
+            let plan = SamplePlan {
+                gates: chain
+                    .iter()
+                    .filter_map(|&t| Gate::at(&sampler, t))
+                    .collect(),
+                ..sampler.plan()
+            };
+            assert_eq!(plan.gates.len(), chain.len());
+            let mut a = SmallRng::seed_from_u64(31);
+            let mut b = SmallRng::seed_from_u64(31);
+            let (mut buf_a, mut buf_b) = (CellBuffers::default(), CellBuffers::default());
+            for _ in 0..200 {
+                let got = sampler.sample_block_with(&mut a, &plan, &mut buf_a);
+                let want = sampler.sample_block_with(&mut b, &exact, &mut buf_b);
+                assert_eq!(got.events, want.events, "T={chain:?}");
+            }
+            assert_eq!(a, b, "T={chain:?}");
+        }
     }
 
     fn assert_pages_equal(a: &PageTimeline, b: &PageTimeline) {

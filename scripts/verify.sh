@@ -279,6 +279,16 @@ SIM_PROP_CASES=10000 run cargo test -q --offline --release --test batched_kernel
 # tests/estimates.rs).
 SIM_PROP_CASES=10000 run cargo test -q --offline --release --test estimates
 
+# Timeline-sampler suite at CI depth: 10^4 random sampler configurations,
+# the gated select-then-sort sampler vs the sort-based oracle, bit for bit
+# and RNG state for RNG state (see tests/timeline_sampler.rs).
+SIM_PROP_CASES=10000 run cargo test -q --offline --release --test timeline_sampler
+
+# Benchmark self-tests: perfbench/run.py's checks driven by stand-in
+# programs, and the in-process tracer's own suite (its own workspace).
+run python3 -m unittest discover -s perfbench -p 'test_*.py'
+run cargo test --release --offline --manifest-path perfbench/tracer/Cargo.toml
+
 # Bench gate: run the kernel (PR 3), engine (PR 4), tracing-overhead
 # (PR 5), series/status-overhead (PR 7), batched-kernel (PR 9) and
 # estimate-snapshot (PR 10) benchmarks into a scratch directory (so the tracked results/bench/

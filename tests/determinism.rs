@@ -13,7 +13,8 @@ use aegis_experiments::schemes;
 use aegis_pcm::aegis::{AegisPolicy, Rectangle};
 use aegis_pcm::pcm::forensics::{derive_block_timeline, trace_block, BlockTraceConfig};
 use aegis_pcm::pcm::montecarlo::{evaluate_block, run_memory, FailureCriterion, SimConfig};
-use aegis_pcm::pcm::timeline::TimelineSampler;
+use aegis_pcm::pcm::timeline::{TimelineSampler, DEFAULT_WEAK_SUCCESS_Q8};
+use aegis_pcm::pcm::Stuckness;
 use aegis_pcm::telemetry::{
     strip_volatile, Event, RunTelemetry, SeriesWriter, SharedBuf, StatusWriter, Tracer,
 };
@@ -72,6 +73,64 @@ fn fault_timelines_replay_bit_identically() {
         "same seed must reproduce every event time to the bit"
     );
     assert_ne!(flatten(&first), flatten(&other));
+}
+
+/// Order-sensitive FNV-1a digest of every event of `pages`: time bits,
+/// offset, stuck value, stuck kind and split seed, with each block's event
+/// count as a separator.
+fn timeline_digest(pages: &[aegis_pcm::pcm::timeline::PageTimeline]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut feed = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    for block in pages.iter().flat_map(|p| &p.blocks) {
+        feed(block.events.len() as u64);
+        for e in &block.events {
+            let kind = match e.fault.kind {
+                Stuckness::Full => 0,
+                Stuckness::Partial { weak_success_q8 } => 1 + u64::from(weak_success_q8),
+            };
+            feed(e.time.to_bits());
+            feed(e.fault.offset as u64);
+            feed(u64::from(e.fault.stuck));
+            feed(kind);
+            feed(e.split_seed);
+        }
+    }
+    hash
+}
+
+/// The sampled timeline stream is pinned across versions, not only within
+/// one binary: any change to what the sampler draws (a new sampling
+/// algorithm, a reordered draw) must fail here and re-pin on purpose,
+/// because it changes every figure's digits.
+#[test]
+fn sampled_timeline_stream_matches_the_pinned_digest() {
+    // (block bits, partially-stuck fraction, digest of 6 pages × 8 blocks
+    // sampled from page_rng(0xA5E9, page)).
+    let pinned: [(usize, f64, u64); 6] = [
+        (256, 0.0, 0xA1E2_AD8A_DE81_EFC5),
+        (256, 0.25, 0x0757_B30A_9535_D434),
+        (256, 0.5, 0xCF90_C28B_834C_6CB9),
+        (512, 0.0, 0xFE64_0656_6462_3747),
+        (512, 0.25, 0x2853_A6A5_F17E_F77D),
+        (512, 0.5, 0xB120_F5A1_63CC_9C4D),
+    ];
+    let got = pinned.map(|(bits, fraction, _)| {
+        let sampler = TimelineSampler::paper_default(bits)
+            .with_partial_mix(fraction, DEFAULT_WEAK_SUCCESS_Q8);
+        let pages: Vec<_> = (0..6)
+            .map(|page| sampler.sample_page(&mut TimelineSampler::page_rng(0xA5E9, page), 8))
+            .collect();
+        (bits, fraction, timeline_digest(&pages))
+    });
+    assert_eq!(
+        got, pinned,
+        "the sampled timeline stream changed; re-pin only on a deliberate stream change"
+    );
 }
 
 /// The per-page RNG derivation decorrelates pages and is itself
