@@ -15,7 +15,9 @@
 //! - `page_eval_512_9x61` — a full Monte Carlo page evaluation (64
 //!   blocks) through `evaluate_page_with_scratch` (incremental engine) vs
 //!   a hand-rolled replica of the PR 3 event loop (no observation, full
-//!   recompute per split) over the identical pre-sampled timeline.
+//!   recompute per split) over the identical pre-sampled timeline. Both
+//!   legs stop each block at the page's running death bound, so the ratio
+//!   isolates the pair cache.
 //! - `scaling_512_9x61` — a scaled chip run through the sim-pool with one
 //!   worker vs the machine's available parallelism; same seed, identical
 //!   results, wall-clock scaling only.
@@ -30,8 +32,8 @@ use aegis_baselines::{PartitionSearch, SaferPolicy};
 use aegis_bench::faulty_block;
 use aegis_core::{AegisPolicy, Rectangle};
 use pcm_sim::montecarlo::{
-    evaluate_block_with_scratch, evaluate_page_with_scratch, run_memory, BlockOutcome,
-    FailureCriterion, SimConfig,
+    evaluate_block_bounded, evaluate_page_with_scratch, run_memory, BlockOutcome, FailureCriterion,
+    SimConfig,
 };
 use pcm_sim::policy::{PolicyScratch, RecoveryPolicy};
 use pcm_sim::timeline::{PageTimeline, TimelineSampler};
@@ -122,18 +124,24 @@ fn bench_safer_predicate(c: &mut Bench) {
 
 /// The PR 3 engine's block loop: no fault observation, a stateless
 /// `recoverable` recompute for every sampled split. Retained here as the
-/// timing reference the incremental engine is measured against.
+/// timing reference the incremental engine is measured against. Like the
+/// engine, it stops each block before its first event at or after the
+/// earliest block death so far (`None` for a stopped block).
 fn evaluate_page_recompute(
     policy: &dyn RecoveryPolicy,
     page: &PageTimeline,
     samples: u32,
-) -> Vec<BlockOutcome> {
+) -> Vec<Option<BlockOutcome>> {
+    let mut bound = f64::INFINITY;
     page.blocks
         .iter()
         .map(|timeline| {
             let mut faults: Vec<Fault> = Vec::new();
             let mut wrong: Vec<bool> = Vec::new();
             for (i, event) in timeline.events.iter().enumerate() {
+                if event.time >= bound {
+                    return None;
+                }
                 faults.push(event.fault);
                 let mut rng = SmallRng::seed_from_u64(event.split_seed);
                 let survivable = (0..samples).all(|_| {
@@ -141,16 +149,17 @@ fn evaluate_page_recompute(
                     policy.recoverable(&faults, &wrong)
                 });
                 if !survivable {
-                    return BlockOutcome {
+                    bound = bound.min(event.time);
+                    return Some(BlockOutcome {
                         events_survived: i,
                         death_time: Some(event.time),
-                    };
+                    });
                 }
             }
-            BlockOutcome {
+            Some(BlockOutcome {
                 events_survived: timeline.events.len(),
                 death_time: None,
-            }
+            })
         })
         .collect()
 }
@@ -166,14 +175,22 @@ fn bench_page_eval(c: &mut Bench) {
         unreachable!("default criterion is per-event-split")
     };
 
-    // Pin both legs to the same per-block verdicts before timing anything.
+    // Pin both legs to the same per-block verdicts, under the same
+    // running bound, before timing anything.
     let recompute = evaluate_page_recompute(&policy, &page, samples);
     let mut check = PolicyScratch::new();
+    let mut bound = f64::INFINITY;
     for (block, b) in page.blocks.iter().zip(&recompute) {
-        let a = evaluate_block_with_scratch(&policy, block, criterion, None, &mut check);
-        assert_eq!(a.events_survived, b.events_survived);
-        assert_eq!(a.death_time, b.death_time);
+        let a = evaluate_block_bounded(&policy, block, criterion, bound, None, &mut check);
+        assert_eq!(a, *b);
+        if let Some(t) = a.and_then(|a| a.death_time) {
+            bound = bound.min(t);
+        }
     }
+    assert_eq!(
+        evaluate_page_with_scratch(&policy, &page, criterion, None, &mut check).death_time,
+        bound
+    );
 
     let mut scratch = PolicyScratch::new();
     group.bench_function("incremental", |b| {

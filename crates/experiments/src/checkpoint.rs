@@ -33,8 +33,11 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Snapshot format version; bumped on incompatible layout changes.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Snapshot format version; bumped on incompatible layout changes and
+/// when stored counters change meaning. Version 2: the `mc.*` work
+/// counters count the events the bound-pruned page evaluator decided, and
+/// `mc.<scheme>.blocks_stopped` exists.
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// The block sizes one fig5/6/7 run sweeps, in unit order.
 pub const FIG567_BLOCK_BITS: [usize; 2] = [256, 512];
@@ -858,7 +861,7 @@ mod tests {
         let wrong_version =
             sample_checkpoint()
                 .to_json()
-                .replacen("\"version\": 1", "\"version\": 999", 1);
+                .replacen("\"version\": 2", "\"version\": 999", 1);
         let err = Checkpoint::parse(&wrong_version).unwrap_err();
         assert!(err.contains("version"), "{err}");
         let torn =

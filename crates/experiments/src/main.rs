@@ -857,11 +857,10 @@ fn set_run_meta(tel: &RunTelemetry, command: &str, cli: &Cli) {
         "threads_effective",
         &sim_pool::resolve_threads(cli.opts.threads).to_string(),
     );
-    // SIMD dispatch and engine lane width are resolved once per process;
-    // like the thread count, they never affect the event stream — the
-    // manifest records them so a replayed run can state what actually ran.
+    // SIMD dispatch is resolved once per process; like the thread count,
+    // it never affects the event stream — the manifest records it so a
+    // replayed run can state what actually ran.
     tel.set_meta("simd_backend", bitblock::simd::backend_name());
-    tel.set_meta("eval_lanes", &pcm_sim::montecarlo::eval_lanes().to_string());
     tel.set_meta("out_dir", &cli.out_dir.display().to_string());
     tel.set_meta("trace", if cli.trace { "on" } else { "off" });
 }
@@ -962,10 +961,7 @@ fn run_shard(cli: &Cli) -> ExitCode {
         };
         status.set_total_pages((units * (hi - lo)) as u64);
         status.set_shard(shard_id as u64, shards as u64);
-        status.set_backend(
-            bitblock::simd::backend_name(),
-            pcm_sim::montecarlo::eval_lanes() as u64,
-        );
+        status.set_backend(bitblock::simd::backend_name());
     }
     let observer = runner::RunObserver {
         registry: Some(registry),
@@ -1489,10 +1485,7 @@ fn main() -> ExitCode {
         StatusWriter::disabled()
     };
     if status_w.is_enabled() {
-        status_w.set_backend(
-            bitblock::simd::backend_name(),
-            pcm_sim::montecarlo::eval_lanes() as u64,
-        );
+        status_w.set_backend(bitblock::simd::backend_name());
         if let Some(target) = cli.target_rse {
             status_w.set_target_rse(target);
         }

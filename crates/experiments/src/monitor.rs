@@ -5,7 +5,7 @@
 //! `sim_telemetry::status`). This module scans a directory of those files
 //! — typically `results/telemetry` while a sharded campaign is running —
 //! and renders one row per run (state, phase, progress, ETA, worker busy
-//! fraction, SIMD backend/lanes) plus a per-run `mean ± CI` estimate
+//! fraction, SIMD backend) plus a per-run `mean ± CI` estimate
 //! table with convergence tags and a rollup of how many runs are in each
 //! state. Statistics a heartbeat cannot compute yet (no pages done, one
 //! sample) render `--`, never `inf`/`NaN`. The CLI
@@ -136,11 +136,7 @@ pub fn render(snapshot: &MonitorSnapshot, now_unix_ms: u64) -> String {
             .busy
             .filter(|b| b.is_finite())
             .map_or_else(|| "--".to_owned(), |b| format!("{:.0}%", 100.0 * b));
-        let backend = match (&run.simd_backend, run.eval_lanes) {
-            (Some(name), Some(lanes)) => format!("{name}/{lanes}"),
-            (Some(name), None) => name.clone(),
-            _ => "--".to_owned(),
-        };
+        let backend = run.simd_backend.as_deref().unwrap_or("--");
         let shard = run
             .shard_id
             .zip(run.shards)
@@ -354,7 +350,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let w = StatusWriter::create("conv", &dir).unwrap();
         w.set_total_pages(8);
-        w.set_backend("avx2", 8);
+        w.set_backend("avx2");
         w.set_target_rse(0.05);
         w.set_estimates(&[
             sim_telemetry::UnitEstimate {
@@ -372,7 +368,7 @@ mod tests {
         w.complete_unit(4);
         let snapshot = scan(&dir).unwrap();
         let text = render(&snapshot, sim_telemetry::unix_millis());
-        assert!(text.contains("avx2/8"), "{text}");
+        assert!(text.contains("avx2"), "{text}");
         assert!(text.contains("target RSE 0.05"), "{text}");
         assert!(text.contains("ECP6#512.lifetime"), "{text}");
         assert!(text.contains("converged"), "{text}");

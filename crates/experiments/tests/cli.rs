@@ -309,30 +309,20 @@ fn scalar_mode_telemetry_is_byte_identical_to_kernel_mode() {
     let _ = std::fs::remove_dir_all(dir_scalar);
 }
 
-/// The PR 9 determinism contract, end to end: batch lane width
-/// (`SIM_EVAL_LANES`) and SIMD dispatch backend (`SIM_FORCE_SCALAR`) are
-/// pure performance knobs — same seed, same bytes out, in separate
-/// processes. The reference run uses the defaults (native backend, 8
-/// lanes); the variants pin one lane, a wide batch, and the portable
-/// fallback.
+/// The SIMD dispatch backend (`SIM_FORCE_SCALAR`) is a pure performance
+/// knob: same seed, same bytes out, in separate processes. The reference
+/// run uses the native backend; the variant pins the portable fallback.
 #[test]
-fn lane_width_and_simd_backend_leave_output_byte_identical() {
-    let variants: [(&str, &[(&str, &str)]); 4] = [
-        ("native", &[]),
-        ("lanes1", &[("SIM_EVAL_LANES", "1")]),
-        ("lanes16", &[("SIM_EVAL_LANES", "16")]),
-        (
-            "scalar16",
-            &[("SIM_FORCE_SCALAR", "1"), ("SIM_EVAL_LANES", "16")],
-        ),
-    ];
+fn simd_backend_leaves_output_byte_identical() {
+    let variants: [(&str, &[(&str, &str)]); 2] =
+        [("native", &[]), ("scalar", &[("SIM_FORCE_SCALAR", "1")])];
     let mut streams: Vec<(String, String, Vec<u8>)> = Vec::new();
     for (tag, envs) in variants {
-        let dir = std::env::temp_dir().join(format!("aegis-cli-lanes-{tag}"));
+        let dir = std::env::temp_dir().join(format!("aegis-cli-backend-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cmd = experiments();
         cmd.args([
-            "fig5", "--pages", "2", "--seed", "9", "--run-id", "lanes", "--quiet",
+            "fig5", "--pages", "2", "--seed", "9", "--run-id", "backend", "--quiet",
         ]);
         for (k, v) in envs {
             cmd.env(k, v);
@@ -343,7 +333,7 @@ fn lane_width_and_simd_backend_leave_output_byte_identical() {
             "{}",
             String::from_utf8_lossy(&output.stderr)
         );
-        let stream = std::fs::read_to_string(dir.join("telemetry/lanes.jsonl")).unwrap();
+        let stream = std::fs::read_to_string(dir.join("telemetry/backend.jsonl")).unwrap();
         let csv = std::fs::read(dir.join("fig5.csv")).unwrap();
         streams.push((tag.to_string(), sim_telemetry::strip_volatile(&stream), csv));
         let _ = std::fs::remove_dir_all(&dir);
@@ -352,9 +342,9 @@ fn lane_width_and_simd_backend_leave_output_byte_identical() {
     for (tag, stream, csv) in &streams[1..] {
         assert_eq!(
             stream, ref_stream,
-            "{tag}: lane width / backend changed the telemetry stream"
+            "{tag}: the backend changed the telemetry stream"
         );
-        assert_eq!(csv, ref_csv, "{tag}: lane width / backend changed fig5.csv");
+        assert_eq!(csv, ref_csv, "{tag}: the backend changed fig5.csv");
     }
 }
 
@@ -564,7 +554,7 @@ fn sigint_checkpoints_and_resume_replays_the_uninterrupted_run() {
     // Uninterrupted reference with the same run id.
     let reference = experiments()
         .args([
-            "fig5", "--pages", "4", "--seed", "9", "--run-id", "ck", "--quiet", "--out",
+            "fig5", "--pages", "16", "--seed", "9", "--run-id", "ck", "--quiet", "--out",
         ])
         .arg(&dir_ref)
         .output()
@@ -576,12 +566,14 @@ fn sigint_checkpoints_and_resume_replays_the_uninterrupted_run() {
     );
 
     // Interrupted leg: SIGINT as soon as the first snapshot lands; the
-    // run must stop at the next chunk barrier with exit code 130.
+    // run must stop at the next chunk barrier with exit code 130. The
+    // Monte Carlo phase lasts only ~0.1 s at 16 pages, so poll finely
+    // enough to land the signal inside it.
     let mut child = experiments()
         .args([
             "fig5",
             "--pages",
-            "4",
+            "16",
             "--seed",
             "9",
             "--run-id",
@@ -595,11 +587,11 @@ fn sigint_checkpoints_and_resume_replays_the_uninterrupted_run() {
         .spawn()
         .expect("binary starts");
     let ckpt_path = dir_int.join("telemetry/ck.ckpt.json");
-    for _ in 0..600 {
+    for _ in 0..30_000 {
         if ckpt_path.exists() {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
     assert!(ckpt_path.exists(), "first snapshot never appeared");
     let kill = std::process::Command::new("kill")
@@ -680,7 +672,7 @@ fn resume_refuses_conflicting_options_and_malformed_snapshots() {
     std::fs::write(
         tel.join("conflict.ckpt.json"),
         r#"{
-  "version": 1,
+  "version": 2,
   "every": 1,
   "fingerprint": {
     "command": "fig5", "seed": "9", "pages": "4", "trials": "4000",
@@ -727,6 +719,47 @@ fn resume_refuses_conflicting_options_and_malformed_snapshots() {
         Some(2),
         "malformed snapshots are usage errors"
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Version 1 snapshots stored `mc.*` counters that counted every event of
+/// every block; resuming one would mix two meanings in one stream, so it
+/// is refused as a usage error.
+#[test]
+fn resume_refuses_a_version_1_snapshot() {
+    let dir = std::env::temp_dir().join("aegis-cli-resume-v1");
+    let _ = std::fs::remove_dir_all(&dir);
+    let tel = dir.join("telemetry");
+    std::fs::create_dir_all(&tel).expect("mkdir");
+    std::fs::write(
+        tel.join("old.ckpt.json"),
+        r#"{
+  "version": 1,
+  "every": 1,
+  "fingerprint": {
+    "command": "fig5", "seed": "9", "pages": "4", "trials": "4000",
+    "page_bytes": "4096", "criterion": "per-event-split:1",
+    "predicate_mode": "kernel"
+  },
+  "counters": { "mc.ECP6.fault_events": 12 },
+  "volatile": {  },
+  "histograms": [  ],
+  "units": [  ]
+}"#,
+    )
+    .expect("write snapshot");
+    let output = experiments()
+        .args(["fig5", "--resume", "old", "--seed", "9", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unsupported checkpoint version 1 (expected 2)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

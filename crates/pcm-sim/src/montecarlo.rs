@@ -16,7 +16,7 @@
 
 use crate::fault::sample_split_for_into;
 use crate::policy::{PolicyScratch, RecoveryPolicy};
-use crate::timeline::{BlockTimeline, FaultEvent, PageTimeline, TimelineCache, TimelineSampler};
+use crate::timeline::{BlockTimeline, PageTimeline, TimelineCache, TimelineSampler};
 use crate::Fault;
 use sim_rng::SeedableRng;
 use sim_rng::SmallRng;
@@ -24,7 +24,7 @@ use sim_telemetry::{
     metric_name, Counter, Histogram, PoolWorkerUtil, Registry, StatusWriter, Tracer,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// When is a block considered dead? (See DESIGN.md §3.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +66,9 @@ pub struct McTelemetry {
     block_deaths_split: Counter,
     block_deaths_guarantee: Counter,
     blocks_outlived: Counter,
+    /// Blocks the page evaluator stopped at the page's running death
+    /// bound, before they died or ran out of events.
+    blocks_stopped: Counter,
     page_fault_arrivals: Histogram,
     page_lifetime_writes: Histogram,
     /// Pages executed beyond a worker's fair static share
@@ -93,6 +96,7 @@ impl McTelemetry {
             block_deaths_split: counter("block_deaths_split"),
             block_deaths_guarantee: counter("block_deaths_guarantee"),
             blocks_outlived: counter("blocks_outlived"),
+            blocks_stopped: counter("blocks_stopped"),
             page_fault_arrivals: histogram("page_fault_arrivals"),
             page_lifetime_writes: histogram("page_lifetime_writes"),
             pool_pages_stolen: volatile("pages_stolen"),
@@ -172,7 +176,8 @@ pub fn evaluate_block_with(
     )
 }
 
-/// [`evaluate_block_with`] reusing a caller-provided [`PolicyScratch`].
+/// [`evaluate_block_with`] reusing a caller-provided [`PolicyScratch`]:
+/// [`evaluate_block_bounded`] without a bound.
 ///
 /// This is the engine's steady-state form: the fault population, the W/R
 /// split, and the policy's working buffers all live in the arena, so
@@ -186,6 +191,74 @@ pub fn evaluate_block_with_scratch(
     telemetry: Option<&McTelemetry>,
     scratch: &mut PolicyScratch,
 ) -> BlockOutcome {
+    evaluate_block_bounded(
+        policy,
+        timeline,
+        criterion,
+        f64::INFINITY,
+        telemetry,
+        scratch,
+    )
+    .expect("an unbounded evaluation never stops")
+}
+
+/// [`evaluate_block_with_scratch`] that stops before the first event with
+/// `time ≥ bound`, returning `None` if it stopped. An infinite `bound`
+/// never stops.
+///
+/// The page evaluator passes the earliest block death found so far: an
+/// event at or after it cannot make the page die any earlier, so the
+/// policy need not decide it. Every event before the stop is decided
+/// exactly as without a bound.
+pub fn evaluate_block_bounded(
+    policy: &dyn RecoveryPolicy,
+    timeline: &BlockTimeline,
+    criterion: FailureCriterion,
+    bound: f64,
+    telemetry: Option<&McTelemetry>,
+    scratch: &mut PolicyScratch,
+) -> Option<BlockOutcome> {
+    let mut tally = BlockTally::default();
+    let outcome = run_block(policy, timeline, criterion, bound, scratch, &mut tally);
+    if let Some(t) = telemetry {
+        tally.flush(t, criterion);
+    }
+    outcome
+}
+
+/// Work and block fates of one evaluation, added to [`McTelemetry`] in
+/// one flush.
+#[derive(Default)]
+struct BlockTally {
+    fault_events: u64,
+    decisions: u64,
+    died: u64,
+    outlived: u64,
+    stopped: u64,
+}
+
+impl BlockTally {
+    fn flush(&self, t: &McTelemetry, criterion: FailureCriterion) {
+        t.fault_events.add(self.fault_events);
+        t.policy_decisions.add(self.decisions);
+        t.blocks_outlived.add(self.outlived);
+        t.blocks_stopped.add(self.stopped);
+        match criterion {
+            FailureCriterion::PerEventSplit { .. } => t.block_deaths_split.add(self.died),
+            FailureCriterion::GuaranteedAllData => t.block_deaths_guarantee.add(self.died),
+        }
+    }
+}
+
+/// The block loop behind [`evaluate_block_bounded`], tallying into `tally`.
+fn run_block(
+    policy: &dyn RecoveryPolicy,
+    timeline: &BlockTimeline,
+    criterion: FailureCriterion,
+    bound: f64,
+    scratch: &mut PolicyScratch,
+    tally: &mut BlockTally,
+) -> Option<BlockOutcome> {
     // Detach the driver-owned fault buffer so the policy can borrow the
     // arena's own fields (`flags`, `bytes`, `counts`) mutably during the
     // decision. The split buffer stays in the arena until a branch needs
@@ -195,9 +268,13 @@ pub fn evaluate_block_with_scratch(
     faults.clear();
     // A new block begins: any incremental pair state in the arena is stale.
     policy.forget_block(scratch);
+    let bounded = bound < f64::INFINITY;
     let mut decisions = 0u64;
     let outcome = 'outcome: {
         for (i, event) in timeline.events.iter().enumerate() {
+            if bounded && event.time >= bound {
+                break 'outcome None;
+            }
             faults.push(event.fault);
             // Let the policy extend its incremental pair state with the new
             // arrival before the split checks for this population run.
@@ -224,28 +301,28 @@ pub fn evaluate_block_with_scratch(
                 }
             };
             if !survivable {
-                break 'outcome BlockOutcome {
+                break 'outcome Some(BlockOutcome {
                     events_survived: i,
                     death_time: Some(event.time),
-                };
+                });
             }
         }
-        BlockOutcome {
+        Some(BlockOutcome {
             events_survived: timeline.events.len(),
             death_time: None,
-        }
+        })
     };
-    let fault_events = faults.len() as u64;
-    scratch.faults = faults;
-    if let Some(t) = telemetry {
-        t.fault_events.add(fault_events);
-        t.policy_decisions.add(decisions);
-        match (outcome.death_time, criterion) {
-            (None, _) => t.blocks_outlived.incr(),
-            (Some(_), FailureCriterion::PerEventSplit { .. }) => t.block_deaths_split.incr(),
-            (Some(_), FailureCriterion::GuaranteedAllData) => t.block_deaths_guarantee.incr(),
-        }
+    tally.fault_events += faults.len() as u64;
+    tally.decisions += decisions;
+    match outcome {
+        None => tally.stopped += 1,
+        Some(BlockOutcome {
+            death_time: Some(_),
+            ..
+        }) => tally.died += 1,
+        Some(_) => tally.outlived += 1,
     }
+    scratch.faults = faults;
     outcome
 }
 
@@ -292,8 +369,18 @@ pub fn evaluate_page_with(
 }
 
 /// [`evaluate_page_with`] reusing a caller-provided [`PolicyScratch`]
-/// across all of the page's blocks (see
-/// [`evaluate_block_with_scratch`]).
+/// across all of the page's blocks.
+///
+/// Blocks run in index order, each [bounded](evaluate_block_bounded) by
+/// the earliest block death found so far, since a page dies at its first
+/// block death. The outcome equals running every block to its own death
+/// (DESIGN.md §3, "Page evaluation") on time-sorted timelines: a stopped
+/// block's remaining events all come at or after the bound, so it cannot
+/// die earlier, and `faults_recovered` is read from the timeline. `capped`
+/// needs a block whose last event precedes the page death; on sorted
+/// timelines that block outlived, and when no evaluated block did (only an
+/// out-of-order timeline allows it), the stopped blocks are finished
+/// unbounded to settle `capped`.
 pub fn evaluate_page_with_scratch(
     policy: &dyn RecoveryPolicy,
     page: &PageTimeline,
@@ -301,304 +388,48 @@ pub fn evaluate_page_with_scratch(
     telemetry: Option<&McTelemetry>,
     scratch: &mut PolicyScratch,
 ) -> PageOutcome {
+    let mut tally = BlockTally::default();
+    let mut stopped = std::mem::take(&mut scratch.stopped);
+    stopped.clear();
     let mut death_time = f64::INFINITY;
-    let mut capped = false;
-    for block in &page.blocks {
-        let outcome = evaluate_block_with_scratch(policy, block, criterion, telemetry, scratch);
-        match outcome.death_time {
-            Some(t) => death_time = death_time.min(t),
-            None => capped = true,
+    let mut outlived = false;
+    for (idx, block) in page.blocks.iter().enumerate() {
+        match run_block(policy, block, criterion, death_time, scratch, &mut tally) {
+            Some(BlockOutcome {
+                death_time: Some(t),
+                ..
+            }) => death_time = death_time.min(t),
+            Some(_) => outlived = true,
+            None => stopped.push(idx),
         }
     }
     // A block that outlived its truncated timeline only matters if it could
     // have died before the earliest real death; its last tracked event is a
     // lower bound witness.
-    let capped = capped
-        && page
-            .blocks
-            .iter()
-            .any(|b| b.events.last().is_some_and(|e| e.time < death_time));
-    let faults_recovered = page
+    let witness = page
         .blocks
         .iter()
-        .flat_map(|b| &b.events)
-        .filter(|e| e.time < death_time)
-        .count();
-    if let Some(t) = telemetry {
-        t.pages.incr();
-        let arrivals = page.blocks.iter().map(|b| b.events.len()).sum::<usize>();
-        t.page_fault_arrivals.record(arrivals as u64);
-        if death_time.is_finite() && death_time >= 0.0 {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            t.page_lifetime_writes.record(death_time as u64);
-        }
-    }
-    PageOutcome {
-        death_time,
-        faults_recovered,
-        capped,
-    }
-}
-
-/// Default number of blocks a worker evaluates in lockstep per batch.
-pub const DEFAULT_EVAL_LANES: usize = 8;
-
-/// Blocks per lane-sized batch in the chip-level engine, resolved once per
-/// process: `SIM_EVAL_LANES` (clamped to `1..=64`) overrides the default of
-/// [`DEFAULT_EVAL_LANES`]. The lane width never affects results — the
-/// determinism suite pins byte-identical telemetry across widths — only
-/// locality and batching opportunity.
-pub fn eval_lanes() -> usize {
-    static LANES: OnceLock<usize> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::env::var("SIM_EVAL_LANES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(DEFAULT_EVAL_LANES, |n| n.clamp(1, 64))
-    })
-}
-
-/// Per-worker arena for the batched engine path: one [`PolicyScratch`] per
-/// lane plus the batch bookkeeping, so steady-state evaluation of
-/// lane-sized block batches allocates nothing once warm.
-#[derive(Debug)]
-pub struct BatchScratch {
-    /// One policy arena per lane; lane `l` of every batch reuses arena `l`,
-    /// so each arena sees one block at a time exactly like the sequential
-    /// path (the pair cache self-heals on the block boundary).
-    per_lane: Vec<PolicyScratch>,
-    /// Per-lane outcomes of the current batch.
-    outcomes: Vec<BlockOutcome>,
-    /// Lanes still in lockstep (not yet dead or out of events).
-    active: Vec<usize>,
-}
-
-impl BatchScratch {
-    /// An arena evaluating `lanes` blocks per batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    #[must_use]
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes > 0, "a batch needs at least one lane");
-        Self {
-            per_lane: (0..lanes).map(|_| PolicyScratch::new()).collect(),
-            outcomes: Vec::with_capacity(lanes),
-            active: Vec::with_capacity(lanes),
-        }
-    }
-
-    /// An arena sized by [`eval_lanes`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::new(eval_lanes())
-    }
-
-    /// Lanes per batch.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.per_lane.len()
-    }
-}
-
-/// Advances one lane by one fault event; returns whether the lane
-/// survived it. This is the per-event body of
-/// [`evaluate_block_with_scratch`], factored out so the batched and
-/// single-block paths run literally the same code (same entropy, same
-/// policy calls, same decision count).
-fn step_lane(
-    policy: &dyn RecoveryPolicy,
-    event: &FaultEvent,
-    criterion: FailureCriterion,
-    scratch: &mut PolicyScratch,
-    decisions: &mut u64,
-) -> bool {
-    let mut faults: Vec<Fault> = std::mem::take(&mut scratch.faults);
-    faults.push(event.fault);
-    policy.observe_fault(&faults, scratch);
-    let survivable = match criterion {
-        FailureCriterion::PerEventSplit { samples } => {
-            let mut wrong: Vec<bool> = std::mem::take(&mut scratch.split);
-            let mut rng = SmallRng::seed_from_u64(event.split_seed);
-            let ok = (0..samples).all(|_| {
-                *decisions += 1;
-                sample_split_for_into(&mut rng, &faults, &mut wrong);
-                policy.recoverable_with(&faults, &wrong, scratch)
-            });
-            scratch.split = wrong;
-            ok
-        }
-        FailureCriterion::GuaranteedAllData => {
-            *decisions += 1;
-            policy.guaranteed_with(&faults, scratch)
-        }
-    };
-    scratch.faults = faults;
-    survivable
-}
-
-/// Evaluates up to `lanes` blocks in lockstep — the batched twin of
-/// [`evaluate_block_with_scratch`].
-///
-/// All lanes advance event index by event index. Each lane's decisions
-/// depend only on its own fault population, split RNG (re-seeded per event
-/// from [`FaultEvent::split_seed`]) and per-lane arena, so interleaving
-/// lanes cannot change any lane's verdict: outcome `l` is exactly what
-/// [`evaluate_block_with_scratch`] returns for `blocks[l]`.
-///
-/// Per-lane fault divergence — a lane dying or running out of events while
-/// others continue — is handled by *compacting* the diverged lane out of
-/// the active set; when the batch thins to a single survivor, its remaining
-/// events finish on the plain single-block loop. Telemetry totals are
-/// order-independent sums, so the batched path feeds the exact counter
-/// values of the sequential path.
-///
-/// # Panics
-///
-/// Panics if `blocks.len()` exceeds the arena's lane count.
-pub fn evaluate_block_batch_with_scratch<'a>(
-    policy: &dyn RecoveryPolicy,
-    blocks: &[BlockTimeline],
-    criterion: FailureCriterion,
-    telemetry: Option<&McTelemetry>,
-    batch: &'a mut BatchScratch,
-) -> &'a [BlockOutcome] {
-    let BatchScratch {
-        per_lane,
-        outcomes,
-        active,
-    } = batch;
-    assert!(
-        blocks.len() <= per_lane.len(),
-        "batch of {} blocks exceeds {} lanes",
-        blocks.len(),
-        per_lane.len()
-    );
-    outcomes.clear();
-    outcomes.resize(
-        blocks.len(),
-        BlockOutcome {
-            events_survived: 0,
-            death_time: None,
-        },
-    );
-    active.clear();
-    active.extend(0..blocks.len());
-    let mut decisions = 0u64;
-    let mut fault_events = 0u64;
-    let mut outlived = 0u64;
-    let mut died = 0u64;
-    for scratch in per_lane.iter_mut().take(blocks.len()) {
-        scratch.faults.clear();
-        // A new block begins in every lane: stale incremental pair state
-        // from the previous batch must not leak in.
-        policy.forget_block(scratch);
-    }
-    let mut event_idx = 0usize;
-    while active.len() > 1 {
-        let idx = event_idx;
-        active.retain(|&lane| {
-            let scratch = &mut per_lane[lane];
-            match blocks[lane].events.get(idx) {
-                // Lane out of events: it outlived its (truncated) timeline.
-                None => {
-                    outcomes[lane] = BlockOutcome {
-                        events_survived: idx,
-                        death_time: None,
-                    };
-                    fault_events += scratch.faults.len() as u64;
-                    outlived += 1;
-                    false
-                }
-                Some(event) => {
-                    if step_lane(policy, event, criterion, scratch, &mut decisions) {
-                        true
-                    } else {
-                        outcomes[lane] = BlockOutcome {
-                            events_survived: idx,
-                            death_time: Some(event.time),
-                        };
-                        fault_events += scratch.faults.len() as u64;
-                        died += 1;
-                        false
-                    }
-                }
-            }
-        });
-        event_idx += 1;
-    }
-    // Lone survivor: fall back to the single-block path for its tail.
-    if let Some(&lane) = active.first() {
-        let scratch = &mut per_lane[lane];
-        let block = &blocks[lane];
-        let mut outcome = BlockOutcome {
-            events_survived: block.events.len(),
-            death_time: None,
-        };
-        let mut alive = true;
-        for (i, event) in block.events.iter().enumerate().skip(event_idx) {
-            if !step_lane(policy, event, criterion, scratch, &mut decisions) {
-                outcome = BlockOutcome {
-                    events_survived: i,
-                    death_time: Some(event.time),
-                };
-                alive = false;
+        .any(|b| b.events.last().is_some_and(|e| e.time < death_time));
+    let mut capped = witness && outlived;
+    if witness && !outlived {
+        for &idx in &stopped {
+            tally.stopped -= 1;
+            let outcome = run_block(
+                policy,
+                &page.blocks[idx],
+                criterion,
+                f64::INFINITY,
+                scratch,
+                &mut tally,
+            )
+            .expect("an unbounded evaluation never stops");
+            if outcome.death_time.is_none() {
+                capped = true;
                 break;
             }
         }
-        outcomes[lane] = outcome;
-        fault_events += scratch.faults.len() as u64;
-        if alive {
-            outlived += 1;
-        } else {
-            died += 1;
-        }
-        active.clear();
     }
-    if let Some(t) = telemetry {
-        t.fault_events.add(fault_events);
-        t.policy_decisions.add(decisions);
-        t.blocks_outlived.add(outlived);
-        match criterion {
-            FailureCriterion::PerEventSplit { .. } => t.block_deaths_split.add(died),
-            FailureCriterion::GuaranteedAllData => t.block_deaths_guarantee.add(died),
-        }
-    }
-    outcomes
-}
-
-/// Batched twin of [`evaluate_page_with_scratch`]: the page's blocks are
-/// pulled through [`evaluate_block_batch_with_scratch`] in lane-sized
-/// chunks (the final chunk may be partial). Outcome aggregation is
-/// identical to the sequential form, so the returned [`PageOutcome`] — and
-/// all telemetry — is byte-identical lane width by lane width.
-pub fn evaluate_page_batched_with_scratch(
-    policy: &dyn RecoveryPolicy,
-    page: &PageTimeline,
-    criterion: FailureCriterion,
-    telemetry: Option<&McTelemetry>,
-    batch: &mut BatchScratch,
-) -> PageOutcome {
-    let lanes = batch.lanes();
-    let mut death_time = f64::INFINITY;
-    let mut any_outlived = false;
-    for chunk in page.blocks.chunks(lanes) {
-        for outcome in evaluate_block_batch_with_scratch(policy, chunk, criterion, telemetry, batch)
-        {
-            match outcome.death_time {
-                Some(t) => death_time = death_time.min(t),
-                None => any_outlived = true,
-            }
-        }
-    }
-    // Same capping rule as the sequential path: truncation only matters if
-    // an outlived block could have died before the earliest real death.
-    let capped = any_outlived
-        && page
-            .blocks
-            .iter()
-            .any(|b| b.events.last().is_some_and(|e| e.time < death_time));
+    scratch.stopped = stopped;
     let faults_recovered = page
         .blocks
         .iter()
@@ -606,6 +437,7 @@ pub fn evaluate_page_batched_with_scratch(
         .filter(|e| e.time < death_time)
         .count();
     if let Some(t) = telemetry {
+        tally.flush(t, criterion);
         t.pages.incr();
         let arrivals = page.blocks.iter().map(|b| b.events.len()).sum::<usize>();
         t.page_fault_arrivals.record(arrivals as u64);
@@ -845,7 +677,7 @@ pub fn run_memory_range_with(
     let timelines = hooks.timelines;
     // The identical per-page body runs under both scheduling paths, so
     // tracing can only add spans around it, never change what it computes.
-    let eval_page = |scratch: &mut BatchScratch, page_idx: usize| {
+    let eval_page = |scratch: &mut PolicyScratch, page_idx: usize| {
         let page = match timelines {
             Some(cache) => {
                 cache.get_or_sample(&sampler, cfg.seed, page_idx as u64, blocks_per_page)
@@ -855,8 +687,7 @@ pub fn run_memory_range_with(
                 Arc::new(sampler.sample_page(&mut rng, blocks_per_page))
             }
         };
-        let outcome =
-            evaluate_page_batched_with_scratch(policy, &page, cfg.criterion, telemetry, scratch);
+        let outcome = evaluate_page_with_scratch(policy, &page, cfg.criterion, telemetry, scratch);
         // Advance completion unconditionally so the count can never
         // disagree with the telemetry pages counter, then report it.
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -877,19 +708,17 @@ pub fn run_memory_range_with(
     let tracer = hooks.tracer.filter(|t| t.is_enabled());
     let (results, stats) = match (tracer, status) {
         (None, None) => {
-            sim_pool::run_indexed(threads, count, BatchScratch::from_env, |scratch, idx| {
+            sim_pool::run_indexed(threads, count, PolicyScratch::new, |scratch, idx| {
                 eval_page(scratch, start + idx)
             })
         }
         // Status heartbeats without tracing still need the timed pool
         // variant for the worker busy fraction; results are identical.
         (None, Some(status)) => {
-            let (results, stats, workers) = sim_pool::run_indexed_stats(
-                threads,
-                count,
-                BatchScratch::from_env,
-                |scratch, idx| eval_page(scratch, start + idx),
-            );
+            let (results, stats, workers) =
+                sim_pool::run_indexed_stats(threads, count, PolicyScratch::new, |scratch, idx| {
+                    eval_page(scratch, start + idx)
+                });
             status.set_busy(sim_pool::busy_fraction(&workers));
             (results, stats)
         }
@@ -900,7 +729,7 @@ pub fn run_memory_range_with(
             let (results, stats, workers) = sim_pool::run_indexed_stats(
                 threads,
                 count,
-                || (BatchScratch::from_env(), tracer.worker(parent)),
+                || (PolicyScratch::new(), tracer.worker(parent)),
                 |(scratch, trace), idx| {
                     let span = trace.begin("page");
                     let out = eval_page(scratch, start + idx);
@@ -1435,64 +1264,107 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batched_evaluation_matches_sequential_for_every_lane_width() {
-        let policy = CapPolicy { cap: 3, bits: 256 };
-        let sampler = crate::timeline::TimelineSampler::paper_default(256);
-        for seed in 0..4u64 {
-            let mut rng = crate::timeline::TimelineSampler::page_rng(seed, 0);
-            let page = sampler.sample_page(&mut rng, 16);
-            let registry = Registry::new();
-            let telemetry = McTelemetry::for_scheme(&registry, "seq");
-            let expected = evaluate_page_with_scratch(
-                &policy,
-                &page,
-                FailureCriterion::default(),
-                Some(&telemetry),
-                &mut PolicyScratch::new(),
-            );
-            let expected_counters: std::collections::BTreeMap<String, u64> =
-                registry.counters().into_iter().collect();
-            for lanes in [1usize, 2, 3, 5, 8, 16, 64] {
-                let registry = Registry::new();
-                let telemetry = McTelemetry::for_scheme(&registry, "seq");
-                let mut batch = BatchScratch::new(lanes);
-                let got = evaluate_page_batched_with_scratch(
-                    &policy,
-                    &page,
-                    FailureCriterion::default(),
-                    Some(&telemetry),
-                    &mut batch,
-                );
-                assert_eq!(got, expected, "seed {seed} lanes {lanes}");
-                let counters: std::collections::BTreeMap<String, u64> =
-                    registry.counters().into_iter().collect();
-                assert_eq!(counters, expected_counters, "seed {seed} lanes {lanes}");
-            }
-        }
+    fn counters(registry: &Registry) -> std::collections::BTreeMap<String, u64> {
+        registry.counters().into_iter().collect()
     }
 
     #[test]
-    fn batched_guarantee_criterion_matches_sequential() {
+    fn page_evaluation_stops_blocks_at_the_running_bound() {
         let policy = CapPolicy { cap: 2, bits: 512 };
+        let criterion = FailureCriterion::GuaranteedAllData;
         let page = PageTimeline {
             blocks: vec![
+                // Dies at 60 with no bound yet: the bound becomes 60.
                 timeline(&[5.0, 50.0, 60.0]),
+                // Outlives: every event precedes the bound.
                 timeline(&[7.0, 9.0]),
                 timeline(&[]),
+                // Dies at 3: the bound becomes 3.
                 timeline(&[1.0, 2.0, 3.0, 4.0]),
+                // Stopped at the tie 3.0 == bound; unbounded it dies at 3.5.
+                timeline(&[2.5, 3.0, 3.5]),
             ],
         };
-        let expected = evaluate_page(&policy, &page, FailureCriterion::GuaranteedAllData);
-        for lanes in [1usize, 2, 4, 8] {
-            let got = evaluate_page_batched_with_scratch(
+        let registry = Registry::new();
+        let telemetry = McTelemetry::for_scheme(&registry, "cap2");
+        let outcome = evaluate_page_with(&policy, &page, criterion, Some(&telemetry));
+        let deaths: Vec<Option<f64>> = page
+            .blocks
+            .iter()
+            .map(|b| evaluate_block(&policy, b, criterion).death_time)
+            .collect();
+        assert_eq!(deaths, [Some(60.0), None, None, Some(3.0), Some(3.5)]);
+        assert_eq!(
+            outcome,
+            PageOutcome {
+                death_time: 3.0,
+                faults_recovered: 3,
+                capped: false,
+            }
+        );
+        let c = counters(&registry);
+        assert_eq!(c["mc.cap2.fault_events"], 3 + 2 + 3 + 1);
+        assert_eq!(c["mc.cap2.policy_decisions"], 3 + 2 + 3 + 1);
+        assert_eq!(c["mc.cap2.block_deaths_guarantee"], 2);
+        assert_eq!(c["mc.cap2.blocks_outlived"], 2);
+        assert_eq!(c["mc.cap2.blocks_stopped"], 1);
+        assert_eq!(
+            evaluate_block_bounded(
                 &policy,
-                &page,
-                FailureCriterion::GuaranteedAllData,
+                &page.blocks[4],
+                criterion,
+                3.0,
                 None,
-                &mut BatchScratch::new(lanes),
-            );
-            assert_eq!(got, expected, "lanes {lanes}");
+                &mut PolicyScratch::new()
+            ),
+            None
+        );
+    }
+
+    #[test]
+    fn block_fates_partition_every_block_of_every_page() {
+        let policy = CapPolicy { cap: 4, bits: 512 };
+        for criterion in [
+            FailureCriterion::default(),
+            FailureCriterion::GuaranteedAllData,
+        ] {
+            let cfg = SimConfig {
+                pages: 6,
+                page_bits: 4096,
+                block_bits: 512,
+                criterion,
+                seed: 19,
+                threads: Some(2),
+                partial_fraction: 0.0,
+            };
+            let registry = Registry::new();
+            let hooks = RunHooks {
+                telemetry: Some(McTelemetry::for_scheme(&registry, "cap4")),
+                ..RunHooks::default()
+            };
+            run_memory_with(&policy, &cfg, &hooks);
+            let c = counters(&registry);
+            let fates = c["mc.cap4.block_deaths_split"]
+                + c["mc.cap4.block_deaths_guarantee"]
+                + c["mc.cap4.blocks_outlived"]
+                + c["mc.cap4.blocks_stopped"];
+            assert_eq!(fates, (cfg.pages * cfg.blocks_per_page()) as u64);
+            assert!(c["mc.cap4.blocks_stopped"] > 0, "{criterion:?}");
+
+            // Running every block to its own death decides strictly more
+            // events than the bounded engine.
+            let unbounded = Registry::new();
+            let telemetry = McTelemetry::for_scheme(&unbounded, "cap4");
+            let sampler = TimelineSampler::paper_default(512);
+            for page_idx in 0..cfg.pages as u64 {
+                let mut rng = TimelineSampler::page_rng(cfg.seed, page_idx);
+                for block in &sampler.sample_page(&mut rng, cfg.blocks_per_page()).blocks {
+                    evaluate_block_with(&policy, block, criterion, Some(&telemetry));
+                }
+            }
+            let u = counters(&unbounded);
+            assert!(c["mc.cap4.fault_events"] < u["mc.cap4.fault_events"]);
+            assert!(c["mc.cap4.policy_decisions"] < u["mc.cap4.policy_decisions"]);
         }
     }
 

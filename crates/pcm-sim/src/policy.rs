@@ -37,6 +37,9 @@ pub struct PolicyScratch {
     pub(crate) split: Vec<bool>,
     /// Fault-population buffer owned by the Monte Carlo driver.
     pub(crate) faults: Vec<Fault>,
+    /// Indices of the blocks the Monte Carlo page evaluator stopped at its
+    /// running bound.
+    pub(crate) stopped: Vec<usize>,
 }
 
 /// One cached fault pair: indices into the covered fault slice plus a

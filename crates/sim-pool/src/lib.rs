@@ -23,13 +23,10 @@
 //! - Workers get private scratch state from a caller-supplied factory;
 //!   scratch never migrates between tasks of different workers except
 //!   through the task-local reset the caller already performs. The Monte
-//!   Carlo engine's factory hands each worker a *batch* arena
-//!   (`pcm_sim::montecarlo::BatchScratch`): inside one task the worker
-//!   pulls the page's blocks through the batched lane-lockstep evaluator,
-//!   but from the pool's perspective that is still one index-addressed
-//!   task — scheduling granularity (pages) and batching granularity
-//!   (lanes within a page) are independent axes, which is why the lane
-//!   width, like the thread count, can never affect results.
+//!   Carlo engine's factory hands each worker one policy arena
+//!   (`pcm_sim::policy::PolicyScratch`), and one task evaluates one whole
+//!   page, its blocks in a fixed order on that worker, so what a page
+//!   computes never depends on which worker ran it.
 //!
 //! The only observable scheduling artefacts are the [`PoolStats`]
 //! counters, which are explicitly *not* deterministic and are reported

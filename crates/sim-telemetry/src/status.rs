@@ -114,8 +114,6 @@ pub struct StatusRecord {
     /// `avx2` or `scalar` — shows which backend each shard of a
     /// mixed-machine campaign is running.
     pub simd_backend: Option<String>,
-    /// Effective `SIM_EVAL_LANES` batch width.
-    pub eval_lanes: Option<u64>,
     /// The run's `--target-rse` early-stop target, when set.
     pub target_rse: Option<f64>,
     /// Latest per-unit estimates (empty until the first unit barrier).
@@ -171,7 +169,7 @@ impl StatusRecord {
             "{{\n  \"run_id\": {},\n  \"state\": {},\n  \"phase\": {},\n  \
              \"pages_done\": {},\n  \"pages_total\": {},\n  \"elapsed_ms\": {},\n  \
              \"eta_ms\": {},\n  \"busy\": {},\n  \"shard_id\": {},\n  \"shards\": {},\n  \
-             \"simd_backend\": {},\n  \"eval_lanes\": {},\n  \"target_rse\": {},\n  \
+             \"simd_backend\": {},\n  \"target_rse\": {},\n  \
              \"estimates\": [{}],\n  \
              \"heartbeats\": {},\n  \"updated_unix_ms\": {}\n}}\n",
             escape(&self.run_id),
@@ -185,7 +183,6 @@ impl StatusRecord {
             opt_u64(self.shard_id),
             opt_u64(self.shards),
             backend,
-            opt_u64(self.eval_lanes),
             self.target_rse.map_or_else(|| "null".to_owned(), json_f64),
             estimates.join(", "),
             self.heartbeats,
@@ -193,7 +190,8 @@ impl StatusRecord {
         )
     }
 
-    /// Parses a status file written by [`StatusWriter`].
+    /// Parses a status file written by [`StatusWriter`]. Keys it does not
+    /// know, such as the `eval_lanes` of older files, are ignored.
     ///
     /// # Errors
     ///
@@ -272,7 +270,6 @@ impl StatusRecord {
             shard_id: opt_u64("shard_id")?,
             shards: opt_u64("shards")?,
             simd_backend: value.str_field("simd_backend").map(str::to_owned),
-            eval_lanes: opt_u64("eval_lanes")?,
             target_rse,
             estimates,
             heartbeats: value.u64_field("heartbeats").unwrap_or(0),
@@ -291,7 +288,7 @@ struct StatusState {
     pages_total: u64,
     busy: Option<f64>,
     shard: Option<(u64, u64)>,
-    backend: Option<(String, u64)>,
+    backend: Option<String>,
     target_rse: Option<f64>,
     estimates: Vec<EstimateStatus>,
     heartbeats: u64,
@@ -394,12 +391,12 @@ impl StatusWriter {
         }
     }
 
-    /// Records the SIMD dispatch backend and effective eval-lanes width
-    /// the run resolved at startup, so a mixed-machine campaign's monitor
-    /// shows which backend each shard runs.
-    pub fn set_backend(&self, backend: &str, lanes: u64) {
+    /// Records the SIMD dispatch backend the run resolved at startup, so a
+    /// mixed-machine campaign's monitor shows which backend each shard
+    /// runs.
+    pub fn set_backend(&self, backend: &str) {
         if let Some(core) = &self.0 {
-            core.state.lock().expect("status poisoned").backend = Some((backend.to_owned(), lanes));
+            core.state.lock().expect("status poisoned").backend = Some(backend.to_owned());
         }
     }
 
@@ -526,8 +523,7 @@ impl StatusWriter {
             busy: state.busy,
             shard_id: state.shard.map(|(id, _)| id),
             shards: state.shard.map(|(_, of)| of),
-            simd_backend: state.backend.as_ref().map(|(name, _)| name.clone()),
-            eval_lanes: state.backend.as_ref().map(|&(_, lanes)| lanes),
+            simd_backend: state.backend.clone(),
             target_rse: state.target_rse,
             estimates: state.estimates.clone(),
             heartbeats: state.heartbeats,
@@ -574,7 +570,6 @@ mod tests {
             shard_id: Some(0),
             shards: Some(2),
             simd_backend: Some("avx2".to_owned()),
-            eval_lanes: Some(8),
             target_rse: Some(0.05),
             estimates: vec![
                 EstimateStatus {
@@ -617,7 +612,6 @@ mod tests {
             shard_id: None,
             shards: None,
             simd_backend: None,
-            eval_lanes: None,
             target_rse: None,
             estimates: Vec::new(),
             heartbeats: 1,
@@ -633,9 +627,17 @@ mod tests {
                       \"pages_done\": 0, \"pages_total\": 0}";
         let parsed = StatusRecord::parse(legacy).unwrap();
         assert_eq!(parsed.simd_backend, None);
-        assert_eq!(parsed.eval_lanes, None);
         assert_eq!(parsed.target_rse, None);
         assert!(parsed.estimates.is_empty());
+
+        // Files from before the lane-interleaved engine was retired still
+        // carry its `eval_lanes` width; the parser ignores the key.
+        let with_lanes = "{\"run_id\": \"x\", \"state\": \"running\", \
+                          \"pages_done\": 3, \"pages_total\": 9, \
+                          \"simd_backend\": \"avx2\", \"eval_lanes\": 8}";
+        let parsed = StatusRecord::parse(with_lanes).unwrap();
+        assert_eq!(parsed.pages_done, 3);
+        assert_eq!(parsed.simd_backend.as_deref(), Some("avx2"));
     }
 
     #[test]
@@ -672,7 +674,7 @@ mod tests {
         assert!(read.eta_ms.is_some());
 
         status.phase_progress(4);
-        status.set_backend("avx2", 8);
+        status.set_backend("avx2");
         status.set_target_rse(0.05);
         status.set_estimates(&[crate::estimate::UnitEstimate {
             unit: "ECP6#512".to_owned(),
@@ -687,7 +689,6 @@ mod tests {
         assert_eq!(read.pages_done, 4, "complete_unit folds into base");
         assert_eq!(read.busy, Some(0.75));
         assert_eq!(read.simd_backend.as_deref(), Some("avx2"));
-        assert_eq!(read.eval_lanes, Some(8));
         assert_eq!(read.target_rse, Some(0.05));
         assert_eq!(read.estimates.len(), 1);
         assert_eq!(read.estimates[0].name, "ECP6#512.lifetime");

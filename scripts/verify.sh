@@ -269,9 +269,9 @@ SIM_PROP_CASES=10000 run cargo test -q --offline --release --test dominance
 
 # Batched-kernel suite at CI depth: 10^4 random cases per property,
 # lane-major batched kernels vs single-block kernels vs the pair
-# policies, and the batched engine path vs the sequential one across all
-# policy families, lane widths and criteria (see
-# tests/batched_kernels.rs).
+# policies, and the bound-pruned page evaluator vs the unbounded oracle
+# across all policy families, block widths, partial mixes and criteria
+# (see tests/batched_kernels.rs).
 SIM_PROP_CASES=10000 run cargo test -q --offline --release --test batched_kernels
 
 # Estimate suite at CI depth: Wilson coverage on 10^4 Bernoulli streams

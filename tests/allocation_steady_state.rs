@@ -1,13 +1,13 @@
-//! Steady-state allocation gate (PR 9): once a worker's arenas are warm,
+//! Steady-state allocation gate (PR 9): once a worker's arena is warm,
 //! evaluating further pages must not touch the allocator at all — every
-//! per-block temporary lives in [`PolicyScratch`] / [`BatchScratch`] and
-//! is reused block after block.
+//! per-block temporary lives in [`PolicyScratch`] and is reused block
+//! after block.
 //!
 //! The test wraps the global allocator in a counting shim, replays the
 //! *same* pages once to warm every arena (first-touch growth is expected
 //! and amortized), then replays them again and asserts the allocation
 //! count did not move — for every policy family the Monte Carlo engine
-//! ships, on both the sequential and the batched evaluation paths.
+//! ships.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can bleed
 //! allocations into the measured window.
@@ -16,9 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aegis_experiments::schemes;
-use aegis_pcm::pcm::montecarlo::{
-    evaluate_page_batched_with_scratch, evaluate_page_with_scratch, BatchScratch, FailureCriterion,
-};
+use aegis_pcm::pcm::montecarlo::{evaluate_page_with_scratch, FailureCriterion};
 use aegis_pcm::pcm::policy::PolicyScratch;
 use aegis_pcm::pcm::timeline::{PageTimeline, TimelineSampler};
 use sim_rng::{SeedableRng, SmallRng};
@@ -81,7 +79,6 @@ fn steady_state_evaluation_is_allocation_free() {
         let pages = sample_pages(BITS, partial);
         for (policy, name) in &families {
             for criterion in criteria {
-                // Sequential path.
                 let mut scratch = PolicyScratch::new();
                 for page in &pages {
                     evaluate_page_with_scratch(
@@ -106,38 +103,7 @@ fn steady_state_evaluation_is_allocation_free() {
                 assert_eq!(
                     after - warm,
                     0,
-                    "{name} (partial={partial}, {criterion:?}): sequential steady state \
-                     allocated {} times",
-                    after - warm
-                );
-
-                // Batched path, at a lane width that forces partial
-                // batches and mid-batch compaction.
-                let mut batch = BatchScratch::new(5);
-                for page in &pages {
-                    evaluate_page_batched_with_scratch(
-                        policy.as_ref(),
-                        page,
-                        criterion,
-                        None,
-                        &mut batch,
-                    );
-                }
-                let warm = ALLOCATIONS.load(Ordering::Relaxed);
-                for page in &pages {
-                    evaluate_page_batched_with_scratch(
-                        policy.as_ref(),
-                        page,
-                        criterion,
-                        None,
-                        &mut batch,
-                    );
-                }
-                let after = ALLOCATIONS.load(Ordering::Relaxed);
-                assert_eq!(
-                    after - warm,
-                    0,
-                    "{name} (partial={partial}, {criterion:?}): batched steady state \
+                    "{name} (partial={partial}, {criterion:?}): steady state \
                      allocated {} times",
                     after - warm
                 );

@@ -1,6 +1,6 @@
 //! Differential property suite for the PR 9 cross-block batched kernels
-//! and the batched Monte Carlo engine path: on random geometries, lane
-//! counts, lane occupancies and fault populations,
+//! and the Monte Carlo page evaluator: on random geometries, lane counts,
+//! lane occupancies, page shapes and fault populations,
 //!
 //! 1. [`predicate_batch`] must agree lane for lane with
 //!    [`predicate_single`] *and* with the `O(f²)` pair policies
@@ -10,18 +10,17 @@
 //! 2. [`encode_batch`] must produce, lane for lane, the codeword of
 //!    [`encode_single`] and of a naive scalar reference that XORs the
 //!    selected [`ShiftRom`] group masks one at a time;
-//! 3. `evaluate_page_batched_with_scratch` must reproduce the sequential
-//!    `evaluate_page_with_scratch` outcome bit for bit across all six
-//!    policy families, both failure criteria, Full/Partial stuckness
-//!    mixes, and random lane widths (driving partial final batches and
-//!    mid-batch divergence/compaction).
+//! 3. the engine's bound-pruned `evaluate_page_with_scratch` must
+//!    reproduce, bit for bit, an unbounded oracle that runs every block
+//!    to its own death, across all six policy families, both failure
+//!    criteria, partial stuckness mixes 0/0.25/0.5 and block widths
+//!    64–512; hand-built pages pin every branch of `capped`.
 //!
-//! Failures shrink toward fewer lanes, fewer faults and fewer blocks via
-//! the in-tree `sim_rng::prop` harness; CI runs the suite with
-//! `SIM_PROP_CASES=10000` (see `scripts/verify.sh`). Byte-identity of
-//! *telemetry* across lane widths rides on top as a fixed-workload test,
-//! and the cross-process twins (`SIM_EVAL_LANES`, `SIM_FORCE_SCALAR`
-//! through the experiments CLI) live in `crates/experiments/tests/`.
+//! Failures shrink toward fewer lanes, fewer faults, fewer blocks and
+//! narrower blocks via the in-tree `sim_rng::prop` harness; CI runs the
+//! suite with `SIM_PROP_CASES=10000` (see `scripts/verify.sh`). The
+//! cross-process `SIM_FORCE_SCALAR` twin (through the experiments CLI)
+//! lives in `crates/experiments/tests/`.
 
 use aegis_experiments::schemes;
 use aegis_pcm::aegis::batch::{
@@ -32,15 +31,18 @@ use aegis_pcm::aegis::rom::ShiftRom;
 use aegis_pcm::aegis::{AegisPolicy, AegisRwPolicy, Rectangle};
 use aegis_pcm::bitblock::{BatchBitBlock, BitBlock};
 use aegis_pcm::pcm::montecarlo::{
-    evaluate_page_batched_with_scratch, evaluate_page_with_scratch, BatchScratch, FailureCriterion,
-    McTelemetry,
+    evaluate_block_with_scratch, evaluate_page_with_scratch, FailureCriterion, McTelemetry,
+    PageOutcome,
 };
 use aegis_pcm::pcm::policy::{PolicyScratch, RecoveryPolicy};
-use aegis_pcm::pcm::timeline::TimelineSampler;
+use aegis_pcm::pcm::timeline::{
+    BlockTimeline, FaultEvent, PageTimeline, TimelineSampler, DEFAULT_WEAK_SUCCESS_Q8,
+};
 use aegis_pcm::pcm::Fault;
-use aegis_pcm::telemetry::{strip_volatile, RunTelemetry, SharedBuf};
+use aegis_pcm::telemetry::Registry;
 use sim_rng::prop::{shrink, Runner};
-use sim_rng::{prop_assert_eq, Rng, SeedableRng, SmallRng};
+use sim_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
+use std::collections::BTreeMap;
 
 /// Valid `(A, B, bits)` formations the kernel generators draw from —
 /// small enough to shrink well, wide enough to cross word boundaries,
@@ -262,28 +264,83 @@ fn batched_encode_matches_single_and_a_naive_rom_reference() {
         });
 }
 
-/// The six policy families the Monte Carlo engine ships, built at a
-/// property-sized block width.
+/// Today's page evaluation before the running bound, kept verbatim as the
+/// oracle: every block runs to its own death, then the page takes the
+/// minimum.
+fn oracle_evaluate_page(
+    policy: &dyn RecoveryPolicy,
+    page: &PageTimeline,
+    criterion: FailureCriterion,
+    scratch: &mut PolicyScratch,
+) -> PageOutcome {
+    let mut death_time = f64::INFINITY;
+    let mut capped = false;
+    for block in &page.blocks {
+        let outcome = evaluate_block_with_scratch(policy, block, criterion, None, scratch);
+        match outcome.death_time {
+            Some(t) => death_time = death_time.min(t),
+            None => capped = true,
+        }
+    }
+    // A block that outlived its truncated timeline only matters if it could
+    // have died before the earliest real death; its last tracked event is a
+    // lower bound witness.
+    let capped = capped
+        && page
+            .blocks
+            .iter()
+            .any(|b| b.events.last().is_some_and(|e| e.time < death_time));
+    let faults_recovered = page
+        .blocks
+        .iter()
+        .flat_map(|b| &b.events)
+        .filter(|e| e.time < death_time)
+        .count();
+    PageOutcome {
+        death_time,
+        faults_recovered,
+        capped,
+    }
+}
+
+/// Block widths the engine trial draws from.
+const WIDTHS: [usize; 4] = [64, 128, 256, 512];
+
+/// Partially stuck fractions the engine trial draws from.
+const PARTIAL_MIXES: [f64; 3] = [0.0, 0.25, 0.5];
+
+/// The six policy families the Monte Carlo engine ships, built at
+/// `block_bits` with an Aegis formation valid at that width.
 fn policy_family(index: usize, block_bits: usize) -> (schemes::Policy, &'static str) {
-    // 512-bit formations shrink to (a, b) pairs valid at 128 bits.
+    let (a, b) = match block_bits {
+        64 => (4, 17),
+        128 => (4, 37),
+        256 => (9, 31),
+        _ => (9, 61),
+    };
     match index {
-        0 => (schemes::aegis(4, 37, block_bits), "aegis"),
-        1 => (schemes::aegis_rw(4, 37, block_bits), "aegis-rw"),
-        2 => (schemes::aegis_rw_p(4, 37, block_bits, 2), "aegis-rw-p"),
+        0 => (schemes::aegis(a, b, block_bits), "aegis"),
+        1 => (schemes::aegis_rw(a, b, block_bits), "aegis-rw"),
+        2 => (schemes::aegis_rw_p(a, b, block_bits, 2), "aegis-rw-p"),
         3 => (schemes::ecp(4, block_bits), "ecp"),
         4 => (schemes::safer(5, block_bits, false), "safer"),
         _ => (schemes::rdis3(block_bits), "rdis"),
     }
 }
 
-/// One engine trial: a policy family, a page shape, a stuckness mix, a
-/// criterion, a lane width and a timeline seed.
+/// Counter snapshot of a registry, by name.
+fn counters(registry: &Registry) -> BTreeMap<String, u64> {
+    registry.counters().into_iter().collect()
+}
+
+/// One engine trial: a policy family, a block width, a page shape, a
+/// stuckness mix, a criterion and a timeline seed.
 #[derive(Debug, Clone)]
 struct EngineCase {
     family: usize,
+    width: usize,
     blocks: usize,
-    lanes: usize,
-    partial: bool,
+    partial: usize,
     guarantee: bool,
     seed: u64,
 }
@@ -291,11 +348,10 @@ struct EngineCase {
 fn gen_engine_case(rng: &mut SmallRng) -> EngineCase {
     EngineCase {
         family: rng.random_range(0..6usize),
-        // 1..=9 blocks over 1..=9 lanes covers full batches, partial
-        // final batches, and the lone-survivor tail.
-        blocks: rng.random_range(1..=9usize),
-        lanes: rng.random_range(1..=9usize),
-        partial: rng.random_bool(0.4),
+        width: rng.random_range(0..WIDTHS.len()),
+        // Up to 12 blocks: enough for the bound to fall several times.
+        blocks: rng.random_range(1..=12usize),
+        partial: rng.random_range(0..PARTIAL_MIXES.len()),
         guarantee: rng.random_bool(0.3),
         seed: rng.random(),
     }
@@ -309,9 +365,15 @@ fn shrink_engine_case(case: &EngineCase) -> Vec<EngineCase> {
             ..case.clone()
         });
     }
-    for lanes in shrink::usize_toward(case.lanes, 1) {
+    for width in shrink::usize_toward(case.width, 0) {
         out.push(EngineCase {
-            lanes,
+            width,
+            ..case.clone()
+        });
+    }
+    for partial in shrink::usize_toward(case.partial, 0) {
+        out.push(EngineCase {
+            partial,
             ..case.clone()
         });
     }
@@ -319,16 +381,14 @@ fn shrink_engine_case(case: &EngineCase) -> Vec<EngineCase> {
 }
 
 #[test]
-fn batched_engine_matches_sequential_across_policies_and_lane_widths() {
-    Runner::new("batched_engine_matches_sequential_across_policies_and_lane_widths")
+fn bounded_page_evaluation_matches_the_unbounded_oracle() {
+    Runner::new("bounded_page_evaluation_matches_the_unbounded_oracle")
         .cases(200)
         .run(gen_engine_case, shrink_engine_case, |case| {
-            const BITS: usize = 128;
-            let (policy, name) = policy_family(case.family, BITS);
-            let mut sampler = TimelineSampler::paper_default(BITS);
-            if case.partial {
-                sampler = sampler.with_partial_mix(0.3, 128);
-            }
+            let bits = WIDTHS[case.width];
+            let (policy, name) = policy_family(case.family, bits);
+            let sampler = TimelineSampler::paper_default(bits)
+                .with_partial_mix(PARTIAL_MIXES[case.partial], DEFAULT_WEAK_SUCCESS_Q8);
             let mut rng = SmallRng::seed_from_u64(case.seed);
             let page = sampler.sample_page(&mut rng, case.blocks);
             let criterion = if case.guarantee {
@@ -337,153 +397,152 @@ fn batched_engine_matches_sequential_across_policies_and_lane_widths() {
                 FailureCriterion::PerEventSplit { samples: 1 }
             };
 
-            let sequential = evaluate_page_with_scratch(
+            let registry = Registry::new();
+            let telemetry = McTelemetry::for_scheme(&registry, name);
+            let bounded = evaluate_page_with_scratch(
                 policy.as_ref(),
                 &page,
                 criterion,
-                None,
+                Some(&telemetry),
                 &mut PolicyScratch::new(),
             );
-            let mut batch = BatchScratch::new(case.lanes);
-            let batched = evaluate_page_batched_with_scratch(
-                policy.as_ref(),
-                &page,
-                criterion,
-                None,
-                &mut batch,
-            );
-
+            let oracle =
+                oracle_evaluate_page(policy.as_ref(), &page, criterion, &mut PolicyScratch::new());
             prop_assert_eq!(
-                batched.death_time.to_bits(),
-                sequential.death_time.to_bits(),
-                "{}: death time diverged at {} lanes",
-                name,
-                case.lanes
+                bounded.death_time.to_bits(),
+                oracle.death_time.to_bits(),
+                "{}: death time diverged",
+                name
             );
-            prop_assert_eq!(batched.faults_recovered, sequential.faults_recovered);
-            prop_assert_eq!(batched.capped, sequential.capped);
+            prop_assert_eq!(bounded.faults_recovered, oracle.faults_recovered);
+            prop_assert_eq!(bounded.capped, oracle.capped);
+
+            // Every block has exactly one fate, and the bound never adds
+            // work.
+            let c = counters(&registry);
+            let metric = |m: &str| c[&format!("mc.{name}.{m}")];
+            prop_assert_eq!(
+                metric("block_deaths_split")
+                    + metric("block_deaths_guarantee")
+                    + metric("blocks_outlived")
+                    + metric("blocks_stopped"),
+                case.blocks as u64
+            );
+            prop_assert!(metric("fault_events") <= page.total_events() as u64);
             Ok(())
         });
 }
 
-/// Telemetry is part of the determinism contract: the batched engine
-/// path must feed the registry the *byte-identical* stream the
-/// sequential path feeds, for every lane width and every policy family.
-#[test]
-fn batched_engine_telemetry_is_byte_identical_across_lane_widths() {
-    const BITS: usize = 128;
-    let stream = |family: usize, lanes: Option<usize>| -> String {
-        let buf = SharedBuf::new();
-        let run = RunTelemetry::with_buffer("batch-prop", buf.clone()).expect("buffer sink");
-        let (policy, name) = policy_family(family, BITS);
-        let telemetry = McTelemetry::for_scheme(run.registry(), name);
-        let sampler = TimelineSampler::paper_default(BITS).with_partial_mix(0.25, 128);
-        for seed in 0..6u64 {
-            let mut rng = SmallRng::seed_from_u64(seed * 977 + family as u64);
-            let page = sampler.sample_page(&mut rng, 7);
-            let criterion = FailureCriterion::PerEventSplit { samples: 1 };
-            match lanes {
-                Some(lanes) => {
-                    let mut batch = BatchScratch::new(lanes);
-                    evaluate_page_batched_with_scratch(
-                        policy.as_ref(),
-                        &page,
-                        criterion,
-                        Some(&telemetry),
-                        &mut batch,
-                    );
-                }
-                None => {
-                    evaluate_page_with_scratch(
-                        policy.as_ref(),
-                        &page,
-                        criterion,
-                        Some(&telemetry),
-                        &mut PolicyScratch::new(),
-                    );
-                }
-            }
-        }
-        run.finish().expect("finish");
-        strip_volatile(&buf.text())
-    };
-    for family in 0..6usize {
-        let sequential = stream(family, None);
-        assert!(
-            sequential.contains("fault_events"),
-            "sequential stream must carry engine counters"
-        );
-        for lanes in [1usize, 2, 3, 5, 8, 16] {
-            assert_eq!(
-                stream(family, Some(lanes)),
-                sequential,
-                "family {family} at {lanes} lanes must replay the sequential stream"
-            );
-        }
+fn block(times: &[f64]) -> BlockTimeline {
+    BlockTimeline {
+        events: times
+            .iter()
+            .enumerate()
+            .map(|(i, &time)| FaultEvent {
+                time,
+                fault: Fault::new(i, false),
+                split_seed: i as u64,
+            })
+            .collect(),
     }
 }
 
-/// Mid-batch divergence pinned explicitly: a batch where one lane dies
-/// on its first event, one outlives a truncated timeline, and the rest
-/// keep marching must still agree with the sequential path.
+/// A hand-built page: block 0 dies at 3.0, then `rest`.
+struct CappedCase {
+    /// The branch the page exercises.
+    what: &'static str,
+    /// Event times of the blocks after block 0.
+    rest: &'static [&'static [f64]],
+    capped: bool,
+    /// Blocks that died, outlived and were stopped.
+    fates: (u64, u64, u64),
+}
+
+/// Hand-built pages for every branch of `capped` and the stopping rule,
+/// under ECP2 (a block dies at its third fault whatever the data). Block 0
+/// dies at 3.0 in each, so the bound is 3.0 from block 1 on. Out-of-order
+/// timelines are the only way to reach the unbounded finish: on a
+/// time-sorted page, a block whose last event precedes the page death
+/// has always run to the end of its timeline.
 #[test]
-fn forced_divergence_and_empty_lanes_agree_with_sequential() {
-    const BITS: usize = 64;
-    let (policy, _) = policy_family(0, BITS);
-    let sampler = TimelineSampler::paper_default(BITS);
-    let mut rng = SmallRng::seed_from_u64(41);
-    let mut page = sampler.sample_page(&mut rng, 6);
-    // Lane 1: no events at all (outlives immediately).
-    page.blocks[1].events.clear();
-    // Lane 3: truncated after its first event.
-    page.blocks[3].events.truncate(1);
+fn hand_built_pages_take_every_capped_branch_like_the_oracle() {
+    let (policy, name) = (schemes::ecp(2, 64), "ecp");
+    let dies_at_3 = [1.0, 2.0, 3.0];
+    let cases = [
+        CappedCase {
+            what: "outlived and not stopped",
+            rest: &[&[0.5], &[]],
+            capped: true,
+            fates: (1, 2, 0),
+        },
+        CappedCase {
+            what: "stopped, would outlive",
+            rest: &[&[3.5]],
+            capped: false,
+            fates: (1, 0, 1),
+        },
+        CappedCase {
+            what: "stopped, would die; tie at the bound",
+            rest: &[&[2.5, 3.0, 3.5]],
+            capped: false,
+            fates: (1, 0, 1),
+        },
+        CappedCase {
+            what: "stopped, would die exactly at the bound",
+            rest: &[&[1.5, 2.5, 3.0]],
+            capped: false,
+            fates: (1, 0, 1),
+        },
+        CappedCase {
+            what: "finished unbounded, outlives",
+            rest: &[&[4.0, 0.5]],
+            capped: true,
+            fates: (1, 1, 0),
+        },
+        CappedCase {
+            what: "finished unbounded, dies",
+            rest: &[&[4.0, 5.0, 6.0, 0.5]],
+            capped: false,
+            fates: (2, 0, 0),
+        },
+    ];
+    let mut scratch = PolicyScratch::new();
     for criterion in [
         FailureCriterion::PerEventSplit { samples: 1 },
         FailureCriterion::GuaranteedAllData,
     ] {
-        let sequential = evaluate_page_with_scratch(
-            policy.as_ref(),
-            &page,
-            criterion,
-            None,
-            &mut PolicyScratch::new(),
-        );
-        for lanes in [1usize, 2, 4, 6, 8] {
-            let mut batch = BatchScratch::new(lanes);
-            let batched = evaluate_page_batched_with_scratch(
+        for case in &cases {
+            let what = case.what;
+            let page = PageTimeline {
+                blocks: std::iter::once(block(&dies_at_3))
+                    .chain(case.rest.iter().map(|times| block(times)))
+                    .collect(),
+            };
+            let registry = Registry::new();
+            let telemetry = McTelemetry::for_scheme(&registry, name);
+            let bounded = evaluate_page_with_scratch(
                 policy.as_ref(),
                 &page,
                 criterion,
-                None,
-                &mut batch,
+                Some(&telemetry),
+                &mut scratch,
             );
+            let oracle =
+                oracle_evaluate_page(policy.as_ref(), &page, criterion, &mut PolicyScratch::new());
+            assert_eq!(bounded, oracle, "{what}, {criterion:?}");
+            assert_eq!(bounded.death_time, 3.0, "{what}");
+            assert_eq!(bounded.capped, case.capped, "{what}");
+            let c = counters(&registry);
+            let died_total = c["mc.ecp.block_deaths_split"] + c["mc.ecp.block_deaths_guarantee"];
             assert_eq!(
-                batched.death_time.to_bits(),
-                sequential.death_time.to_bits(),
-                "lanes={lanes}"
+                (
+                    died_total,
+                    c["mc.ecp.blocks_outlived"],
+                    c["mc.ecp.blocks_stopped"]
+                ),
+                case.fates,
+                "{what}, {criterion:?}"
             );
-            assert_eq!(batched.faults_recovered, sequential.faults_recovered);
-            assert_eq!(batched.capped, sequential.capped);
         }
-    }
-    // Scratch reuse across pages must not leak state between batches.
-    let mut batch = BatchScratch::new(4);
-    let mut rng = SmallRng::seed_from_u64(42);
-    for _ in 0..3 {
-        let page = sampler.sample_page(&mut rng, 5);
-        let criterion = FailureCriterion::PerEventSplit { samples: 1 };
-        let sequential = evaluate_page_with_scratch(
-            policy.as_ref(),
-            &page,
-            criterion,
-            None,
-            &mut PolicyScratch::new(),
-        );
-        let batched =
-            evaluate_page_batched_with_scratch(policy.as_ref(), &page, criterion, None, &mut batch);
-        assert_eq!(
-            batched.death_time.to_bits(),
-            sequential.death_time.to_bits()
-        );
     }
 }
