@@ -63,7 +63,6 @@ mod geometry;
 mod predicate;
 
 pub mod analysis;
-pub mod batch;
 pub mod cost;
 pub mod primes;
 pub mod rom;

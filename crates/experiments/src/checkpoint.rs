@@ -64,8 +64,8 @@ pub struct Checkpoint {
     /// so a bare `--resume` continues with the original cadence.
     pub every: usize,
     /// Run configuration the snapshot belongs to, as `(key, value)` pairs
-    /// in a fixed order (see [`Checkpoint::fingerprint_keys`]). Resume
-    /// refuses a checkpoint whose fingerprint disagrees with the CLI.
+    /// in the order the experiments binary writes them. Resume refuses a
+    /// checkpoint whose fingerprint disagrees with the CLI.
     pub fingerprint: Vec<(String, String)>,
     /// Deterministic counters at the snapshot barrier.
     pub counters: Vec<(String, u64)>,
@@ -84,20 +84,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The fingerprint keys every checkpoint records, in order.
-    #[must_use]
-    pub fn fingerprint_keys() -> &'static [&'static str] {
-        &[
-            "command",
-            "seed",
-            "pages",
-            "trials",
-            "page_bytes",
-            "criterion",
-            "predicate_mode",
-        ]
-    }
-
     /// Looks up one fingerprint value.
     #[must_use]
     pub fn fingerprint_value(&self, key: &str) -> Option<&str> {

@@ -309,45 +309,6 @@ fn scalar_mode_telemetry_is_byte_identical_to_kernel_mode() {
     let _ = std::fs::remove_dir_all(dir_scalar);
 }
 
-/// The SIMD dispatch backend (`SIM_FORCE_SCALAR`) is a pure performance
-/// knob: same seed, same bytes out, in separate processes. The reference
-/// run uses the native backend; the variant pins the portable fallback.
-#[test]
-fn simd_backend_leaves_output_byte_identical() {
-    let variants: [(&str, &[(&str, &str)]); 2] =
-        [("native", &[]), ("scalar", &[("SIM_FORCE_SCALAR", "1")])];
-    let mut streams: Vec<(String, String, Vec<u8>)> = Vec::new();
-    for (tag, envs) in variants {
-        let dir = std::env::temp_dir().join(format!("aegis-cli-backend-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cmd = experiments();
-        cmd.args([
-            "fig5", "--pages", "2", "--seed", "9", "--run-id", "backend", "--quiet",
-        ]);
-        for (k, v) in envs {
-            cmd.env(k, v);
-        }
-        let output = cmd.arg("--out").arg(&dir).output().expect("binary runs");
-        assert!(
-            output.status.success(),
-            "{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        let stream = std::fs::read_to_string(dir.join("telemetry/backend.jsonl")).unwrap();
-        let csv = std::fs::read(dir.join("fig5.csv")).unwrap();
-        streams.push((tag.to_string(), sim_telemetry::strip_volatile(&stream), csv));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let (_, ref_stream, ref_csv) = &streams[0];
-    for (tag, stream, csv) in &streams[1..] {
-        assert_eq!(
-            stream, ref_stream,
-            "{tag}: the backend changed the telemetry stream"
-        );
-        assert_eq!(csv, ref_csv, "{tag}: the backend changed fig5.csv");
-    }
-}
-
 #[test]
 fn telemetry_report_skips_malformed_lines_and_exits_2() {
     let dir = std::env::temp_dir().join("aegis-cli-telemetry-corrupt");

@@ -33,7 +33,7 @@
 //! decision reads only the samples of pages already processed — never a
 //! clock, a thread id or a scheduling artifact — the stopped stream is
 //! byte-identical across `--threads N`, tracing modes and SIGINT +
-//! `--resume` (see DESIGN.md §16).
+//! `--resume` (see DESIGN.md §15).
 
 use crate::json::escape;
 

@@ -38,7 +38,7 @@
 //! (normal-approximation and [`wilson_interval`]) per
 //! `(scheme, block_bits, metric)`, snapshotted at unit barriers into the
 //! series sidecar and status heartbeats, and driving `--target-rse`
-//! deterministic early stopping (DESIGN.md §16).
+//! deterministic early stopping (DESIGN.md §15).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -110,10 +110,6 @@ pub struct StatusRecord {
     pub shard_id: Option<u64>,
     /// Shard count, for `experiments shard` runs.
     pub shards: Option<u64>,
-    /// SIMD dispatch backend the run resolved at startup (PR 9), e.g.
-    /// `avx2` or `scalar` — shows which backend each shard of a
-    /// mixed-machine campaign is running.
-    pub simd_backend: Option<String>,
     /// The run's `--target-rse` early-stop target, when set.
     pub target_rse: Option<f64>,
     /// Latest per-unit estimates (empty until the first unit barrier).
@@ -145,10 +141,6 @@ impl StatusRecord {
             .busy
             .filter(|b| b.is_finite())
             .map_or_else(|| "null".to_owned(), |b| format!("{b:.4}"));
-        let backend = self
-            .simd_backend
-            .as_deref()
-            .map_or_else(|| "null".to_owned(), escape);
         let estimates: Vec<String> = self
             .estimates
             .iter()
@@ -169,7 +161,7 @@ impl StatusRecord {
             "{{\n  \"run_id\": {},\n  \"state\": {},\n  \"phase\": {},\n  \
              \"pages_done\": {},\n  \"pages_total\": {},\n  \"elapsed_ms\": {},\n  \
              \"eta_ms\": {},\n  \"busy\": {},\n  \"shard_id\": {},\n  \"shards\": {},\n  \
-             \"simd_backend\": {},\n  \"target_rse\": {},\n  \
+             \"target_rse\": {},\n  \
              \"estimates\": [{}],\n  \
              \"heartbeats\": {},\n  \"updated_unix_ms\": {}\n}}\n",
             escape(&self.run_id),
@@ -182,7 +174,6 @@ impl StatusRecord {
             busy,
             opt_u64(self.shard_id),
             opt_u64(self.shards),
-            backend,
             self.target_rse.map_or_else(|| "null".to_owned(), json_f64),
             estimates.join(", "),
             self.heartbeats,
@@ -191,7 +182,8 @@ impl StatusRecord {
     }
 
     /// Parses a status file written by [`StatusWriter`]. Keys it does not
-    /// know, such as the `eval_lanes` of older files, are ignored.
+    /// know, such as the `simd_backend` and `eval_lanes` of older files,
+    /// are ignored.
     ///
     /// # Errors
     ///
@@ -269,7 +261,6 @@ impl StatusRecord {
             busy,
             shard_id: opt_u64("shard_id")?,
             shards: opt_u64("shards")?,
-            simd_backend: value.str_field("simd_backend").map(str::to_owned),
             target_rse,
             estimates,
             heartbeats: value.u64_field("heartbeats").unwrap_or(0),
@@ -288,7 +279,6 @@ struct StatusState {
     pages_total: u64,
     busy: Option<f64>,
     shard: Option<(u64, u64)>,
-    backend: Option<String>,
     target_rse: Option<f64>,
     estimates: Vec<EstimateStatus>,
     heartbeats: u64,
@@ -347,7 +337,6 @@ impl StatusWriter {
                 pages_total: 0,
                 busy: None,
                 shard: None,
-                backend: None,
                 target_rse: None,
                 estimates: Vec::new(),
                 heartbeats: 0,
@@ -388,15 +377,6 @@ impl StatusWriter {
     pub fn set_shard(&self, id: u64, of: u64) {
         if let Some(core) = &self.0 {
             core.state.lock().expect("status poisoned").shard = Some((id, of));
-        }
-    }
-
-    /// Records the SIMD dispatch backend the run resolved at startup, so a
-    /// mixed-machine campaign's monitor shows which backend each shard
-    /// runs.
-    pub fn set_backend(&self, backend: &str) {
-        if let Some(core) = &self.0 {
-            core.state.lock().expect("status poisoned").backend = Some(backend.to_owned());
         }
     }
 
@@ -523,7 +503,6 @@ impl StatusWriter {
             busy: state.busy,
             shard_id: state.shard.map(|(id, _)| id),
             shards: state.shard.map(|(_, of)| of),
-            simd_backend: state.backend.clone(),
             target_rse: state.target_rse,
             estimates: state.estimates.clone(),
             heartbeats: state.heartbeats,
@@ -569,7 +548,6 @@ mod tests {
             busy: Some(0.8125),
             shard_id: Some(0),
             shards: Some(2),
-            simd_backend: Some("avx2".to_owned()),
             target_rse: Some(0.05),
             estimates: vec![
                 EstimateStatus {
@@ -611,7 +589,6 @@ mod tests {
             busy: None,
             shard_id: None,
             shards: None,
-            simd_backend: None,
             target_rse: None,
             estimates: Vec::new(),
             heartbeats: 1,
@@ -621,23 +598,36 @@ mod tests {
         assert_eq!(parsed, record);
         assert_eq!(parsed.fraction(), None);
 
-        // Pre-PR 10 status files lack the backend/estimate fields
-        // entirely; the parser defaults them instead of failing.
+        // Older status files lack the estimate fields entirely; the
+        // parser defaults them instead of failing.
         let legacy = "{\"run_id\": \"x\", \"state\": \"running\", \
                       \"pages_done\": 0, \"pages_total\": 0}";
         let parsed = StatusRecord::parse(legacy).unwrap();
-        assert_eq!(parsed.simd_backend, None);
         assert_eq!(parsed.target_rse, None);
         assert!(parsed.estimates.is_empty());
+    }
 
-        // Files from before the lane-interleaved engine was retired still
-        // carry its `eval_lanes` width; the parser ignores the key.
-        let with_lanes = "{\"run_id\": \"x\", \"state\": \"running\", \
-                          \"pages_done\": 3, \"pages_total\": 9, \
-                          \"simd_backend\": \"avx2\", \"eval_lanes\": 8}";
-        let parsed = StatusRecord::parse(with_lanes).unwrap();
-        assert_eq!(parsed.pages_done, 3);
-        assert_eq!(parsed.simd_backend.as_deref(), Some("avx2"));
+    #[test]
+    fn retired_backend_and_lane_keys_are_ignored() {
+        // Files written before the SIMD batch stack and the lane-interleaved
+        // engine were retired carry `simd_backend` and `eval_lanes`; the
+        // parser reads the rest and a rewrite drops both keys.
+        for backend in ["\"avx2\"", "\"avx512\"", "null"] {
+            let old = format!(
+                "{{\"run_id\": \"x\", \"state\": \"running\", \
+                 \"pages_done\": 3, \"pages_total\": 9, \"shards\": 2, \
+                 \"simd_backend\": {backend}, \"eval_lanes\": 8, \
+                 \"target_rse\": 0.05}}"
+            );
+            let parsed = StatusRecord::parse(&old).unwrap();
+            assert_eq!((parsed.pages_done, parsed.pages_total), (3, 9));
+            assert_eq!(parsed.shards, Some(2));
+            assert_eq!(parsed.target_rse, Some(0.05));
+            let rewritten = parsed.to_json();
+            assert!(!rewritten.contains("simd_backend"), "{rewritten}");
+            assert!(!rewritten.contains("eval_lanes"), "{rewritten}");
+            assert_eq!(StatusRecord::parse(&rewritten).unwrap(), parsed);
+        }
     }
 
     #[test]
@@ -674,7 +664,6 @@ mod tests {
         assert!(read.eta_ms.is_some());
 
         status.phase_progress(4);
-        status.set_backend("avx2");
         status.set_target_rse(0.05);
         status.set_estimates(&[crate::estimate::UnitEstimate {
             unit: "ECP6#512".to_owned(),
@@ -688,7 +677,6 @@ mod tests {
         assert_eq!(read.state, RunState::Done);
         assert_eq!(read.pages_done, 4, "complete_unit folds into base");
         assert_eq!(read.busy, Some(0.75));
-        assert_eq!(read.simd_backend.as_deref(), Some("avx2"));
         assert_eq!(read.target_rse, Some(0.05));
         assert_eq!(read.estimates.len(), 1);
         assert_eq!(read.estimates[0].name, "ECP6#512.lifetime");

@@ -23,12 +23,6 @@ run cargo test -q --offline --workspace
 # above resolves to the machine's parallelism, which can be 1 in CI).
 SIM_THREADS=2 run cargo test -q --offline --workspace
 
-# And once more with the SIMD dispatch pinned to the portable scalar
-# fallback, so the whole suite — including the batched-kernel
-# differential properties — also passes on the path machines without
-# AVX2/AVX-512/NEON will take (PR 9).
-SIM_FORCE_SCALAR=1 run cargo test -q --offline --workspace
-
 # Style and lint gates.
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -236,7 +230,7 @@ rm -rf "$conv_out"
 # Repo hygiene: every PR's bench record AND its regression baseline must
 # be committed — the PR 4 pair was once missing for two releases because
 # the gate only printed a skip notice when a baseline was absent.
-for pr in pr3 pr4 pr5 pr7 pr9 pr10; do
+for pr in pr3 pr4 pr5 pr7 pr10; do
     for f in "results/bench/BENCH_$pr.json" "results/bench/BENCH_$pr.baseline.json"; do
         [[ -s "$f" ]] || { echo "missing committed bench record: $f" >&2; exit 1; }
     done
@@ -267,12 +261,10 @@ SIM_PROP_CASES=10000 run cargo test -q --offline --release --test theorem_invari
 # and the exhaustive Mask2/PLC1+1 crossover (see tests/dominance.rs).
 SIM_PROP_CASES=10000 run cargo test -q --offline --release --test dominance
 
-# Batched-kernel suite at CI depth: 10^4 random cases per property,
-# lane-major batched kernels vs single-block kernels vs the pair
-# policies, and the bound-pruned page evaluator vs the unbounded oracle
-# across all policy families, block widths, partial mixes and criteria
-# (see tests/batched_kernels.rs).
-SIM_PROP_CASES=10000 run cargo test -q --offline --release --test batched_kernels
+# Page-evaluation suite at CI depth: 10^4 random cases, the bound-pruned
+# page evaluator vs the unbounded oracle across all policy families,
+# block widths, partial mixes and criteria (see tests/page_evaluation.rs).
+SIM_PROP_CASES=10000 run cargo test -q --offline --release --test page_evaluation
 
 # Estimate suite at CI depth: Wilson coverage on 10^4 Bernoulli streams
 # per proportion and 10^4 shrinking merge-exactness cases (see
@@ -290,8 +282,8 @@ run python3 -m unittest discover -s perfbench -p 'test_*.py'
 run cargo test --release --offline --manifest-path perfbench/tracer/Cargo.toml
 
 # Bench gate: run the kernel (PR 3), engine (PR 4), tracing-overhead
-# (PR 5), series/status-overhead (PR 7), batched-kernel (PR 9) and
-# estimate-snapshot (PR 10) benchmarks into a scratch directory (so the tracked results/bench/
+# (PR 5), series/status-overhead (PR 7) and estimate-snapshot (PR 10)
+# benchmarks into a scratch directory (so the tracked results/bench/
 # records are not clobbered) and check the speedup and overhead ratios
 # plus the recorded baselines (see EXPERIMENTS.md for regeneration).
 bench_out="${TMPDIR:-/tmp}/aegis-verify-bench"
@@ -300,7 +292,6 @@ SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench kern
 SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench engine
 SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench tracing
 SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench series
-SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench batch
 SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench estimates
 run cargo run -q --release --offline -p aegis-bench --bin bench-gate \
     "$bench_out/BENCH_pr3.json" results/bench
