@@ -6,7 +6,7 @@
 //! throttled shared runner (see `series.rs` for the full argument), so
 //! the group times the *denominator* and the *added work* separately:
 //!
-//! - `unit` — one bare scaled chip run (`runner::run_chip_with`, one
+//! - `unit` — one bare scaled chip run (`campaign::run_units`, one
 //!   worker, registry-only observer): what a `(block_bits, scheme)`
 //!   unit costs before any estimate work.
 //! - `per_unit_overhead` — exactly the recurring work PR 10 adds at a
@@ -32,7 +32,9 @@
 //! `bench-gate` binary alongside the PR 3/4/5/7/9 documents.
 
 use aegis_core::{AegisPolicy, Rectangle};
-use aegis_experiments::runner::{self, unit_estimates, RunObserver, RunOptions};
+use aegis_experiments::campaign::{run_units, Timelines};
+use aegis_experiments::checkpoint::UnitSpec;
+use aegis_experiments::runner::{unit_estimates, RunObserver, RunOptions};
 use aegis_experiments::schemes::Policy;
 use sim_rng::bench::{Bench, Record};
 use sim_rng::bench_group;
@@ -70,8 +72,8 @@ fn options() -> RunOptions {
 fn bench_estimate_overhead(c: &mut Bench) {
     let mut group = c.benchmark_group("estimate_overhead_512_9x61");
     group.sample_size(20);
-    let policy = policy();
     let opts = options();
+    let specs = UnitSpec::sweep(opts.sim_config(512), vec![policy()]);
     let pages = opts.pages as u64;
 
     // Denominator: the bare unit, registry-only observer.
@@ -79,13 +81,24 @@ fn bench_estimate_overhead(c: &mut Bench) {
     group.bench_function("unit", |b| {
         b.iter(|| {
             let observer = RunObserver::with_registry(&registry);
-            black_box(runner::run_chip_with(&policy, 512, &opts, &observer));
+            let _ = black_box(run_units(
+                &specs,
+                0..opts.pages,
+                &observer,
+                Timelines::PerUnit,
+                None,
+            ));
         });
     });
 
     // One finished unit to fold estimates from — the same per-page
     // result vectors every real barrier snapshot reads.
-    let run = runner::run_chip_with(&policy, 512, &opts, &RunObserver::with_registry(&registry));
+    let observer = RunObserver::with_registry(&registry);
+    let run = run_units(&specs, 0..opts.pages, &observer, Timelines::PerUnit, None)
+        .expect("no checkpoint, no I/O")
+        .expect("no checkpoint, no stop")
+        .remove(0)
+        .run;
 
     // Numerator: the recurring estimate work a `--series --status` run
     // adds at each unit barrier on top of the PR 7 sidecar costs.

@@ -2,7 +2,9 @@
 //! scheme) and the per-scheme predicate throughput that dominates it.
 
 use aegis_bench::{bench_options, random_split};
-use aegis_experiments::{fig567, schemes};
+use aegis_experiments::campaign::Campaign;
+use aegis_experiments::runner::RunObserver;
+use aegis_experiments::schemes;
 use pcm_sim::Fault;
 use sim_rng::bench::Bench;
 use sim_rng::{bench_group, bench_main};
@@ -13,7 +15,11 @@ fn bench_fig567_pipeline(c: &mut Bench) {
     let mut group = c.benchmark_group("fig567_pipeline");
     group.sample_size(10);
     group.bench_function("both_block_sizes_2_pages", |b| {
-        b.iter(|| black_box(fig567::run(black_box(&opts))));
+        b.iter(|| {
+            let opts = black_box(&opts);
+            let specs = Campaign::Fig567.specs(opts, false);
+            black_box(Campaign::Fig567.run(&specs, 0..opts.pages, &RunObserver::default(), None))
+        });
     });
     group.finish();
 }

@@ -8,7 +8,7 @@
 //! direction regardless of the true overhead. Instead the group times
 //! the *denominator* and the *added work* separately:
 //!
-//! - `unit` — one bare scaled chip run (`runner::run_chip_with`, one
+//! - `unit` — one bare scaled chip run (`campaign::run_units`, one
 //!   worker, a registry-only observer): what a `(block_bits, scheme)`
 //!   unit costs with telemetry on and sidecars off.
 //! - `per_unit_overhead` — exactly the recurring instrumentation a
@@ -39,7 +39,9 @@
 //! `bench-gate` binary alongside the PR 3/4/5 documents.
 
 use aegis_core::{AegisPolicy, Rectangle};
-use aegis_experiments::runner::{self, RunObserver, RunOptions};
+use aegis_experiments::campaign::{run_units, Timelines};
+use aegis_experiments::checkpoint::UnitSpec;
+use aegis_experiments::runner::{RunObserver, RunOptions};
 use aegis_experiments::schemes::Policy;
 use sim_rng::bench::{Bench, Record};
 use sim_rng::bench_group;
@@ -82,8 +84,8 @@ fn options() -> RunOptions {
 fn bench_series_overhead(c: &mut Bench) {
     let mut group = c.benchmark_group("series_overhead_512_9x61");
     group.sample_size(20);
-    let policy = policy();
     let opts = options();
+    let specs = UnitSpec::sweep(opts.sim_config(512), vec![policy()]);
     let pages = opts.pages as u64;
 
     // Denominator: the bare unit, registry-only observer — the plain
@@ -92,7 +94,13 @@ fn bench_series_overhead(c: &mut Bench) {
     group.bench_function("unit", |b| {
         b.iter(|| {
             let observer = RunObserver::with_registry(&registry);
-            black_box(runner::run_chip_with(&policy, 512, &opts, &observer));
+            let _ = black_box(run_units(
+                &specs,
+                0..opts.pages,
+                &observer,
+                Timelines::PerUnit,
+                None,
+            ));
         });
     });
     // The registry now carries the mc.* counters a real run accumulates,

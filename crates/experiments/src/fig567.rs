@@ -2,9 +2,9 @@
 //! and per-overhead-bit contribution — one Monte Carlo run powers all
 //! three, for both block sizes.
 
+use crate::checkpoint::{UnitProgress, UnitSpec};
 use crate::csvout::{self, fmt_f64};
-use crate::runner::{summarize_schemes_with, RunObserver, RunOptions, SchemeSummary};
-use crate::schemes;
+use crate::runner::SchemeSummary;
 use std::io;
 use std::path::Path;
 
@@ -15,35 +15,18 @@ pub struct Fig567 {
     pub by_block: Vec<(usize, Vec<SchemeSummary>)>,
 }
 
-/// Runs the Figure 5/6/7 scheme sets over simulated chips.
+/// Folds finished campaign units (in `specs` order) into the figure
+/// results, grouped by block size.
 #[must_use]
-pub fn run(opts: &RunOptions) -> Fig567 {
-    run_with(opts, &RunObserver::default())
-}
-
-/// [`run`] with telemetry/progress observation.
-#[must_use]
-pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Fig567 {
-    run_with_mode(opts, observer, false)
-}
-
-/// [`run_with`], selecting between the ROM-kernel scheme set (default) and
-/// the scalar reference set (`scalar = true`, the `--scalar` CLI flag).
-/// Both modes must produce byte-identical results and telemetry — pinned
-/// by `tests/determinism.rs` and the cross-process CLI test.
-#[must_use]
-pub fn run_with_mode(opts: &RunOptions, observer: &RunObserver<'_>, scalar: bool) -> Fig567 {
-    let by_block = [256usize, 512]
-        .into_iter()
-        .map(|bits| {
-            let set = if scalar {
-                schemes::fig5_schemes_scalar(bits)
-            } else {
-                schemes::fig5_schemes(bits)
-            };
-            (bits, summarize_schemes_with(&set, bits, opts, observer))
-        })
-        .collect();
+pub fn assemble(specs: &[UnitSpec], units: &[UnitProgress]) -> Fig567 {
+    let mut by_block: Vec<(usize, Vec<SchemeSummary>)> = Vec::new();
+    for (spec, unit) in specs.iter().zip(units) {
+        let summary = SchemeSummary::from_run(spec.policy.as_ref(), &unit.run);
+        match by_block.last_mut() {
+            Some((bits, summaries)) if *bits == unit.block_bits => summaries.push(summary),
+            _ => by_block.push((unit.block_bits, vec![summary])),
+        }
+    }
     Fig567 { by_block }
 }
 
@@ -164,6 +147,17 @@ pub fn write_csvs(results: &Fig567, out_dir: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+    use crate::runner::{RunObserver, RunOptions};
+
+    fn campaign_results(opts: &RunOptions, scalar: bool) -> Fig567 {
+        let specs = Campaign::Fig567.specs(opts, scalar);
+        let units = Campaign::Fig567
+            .run(&specs, 0..opts.pages, &RunObserver::default(), None)
+            .expect("no checkpoint, no I/O")
+            .expect("no checkpoint, no stop");
+        assemble(&specs, &units)
+    }
 
     fn tiny_opts() -> RunOptions {
         RunOptions {
@@ -178,7 +172,7 @@ mod tests {
 
     #[test]
     fn run_covers_both_block_sizes() {
-        let results = run(&tiny_opts());
+        let results = campaign_results(&tiny_opts(), false);
         assert_eq!(results.by_block.len(), 2);
         assert_eq!(results.by_block[0].0, 256);
         assert_eq!(results.by_block[1].0, 512);
@@ -187,9 +181,8 @@ mod tests {
     #[test]
     fn scalar_mode_reproduces_kernel_results_exactly() {
         let opts = tiny_opts();
-        let observer = RunObserver::default();
-        let kernel = run_with_mode(&opts, &observer, false);
-        let scalar = run_with_mode(&opts, &observer, true);
+        let kernel = campaign_results(&opts, false);
+        let scalar = campaign_results(&opts, true);
         for ((kb, ks), (sb, ss)) in kernel.by_block.iter().zip(&scalar.by_block) {
             assert_eq!(kb, sb);
             assert_eq!(ks.len(), ss.len());
@@ -203,7 +196,7 @@ mod tests {
 
     #[test]
     fn reports_mention_key_schemes() {
-        let results = run(&tiny_opts());
+        let results = campaign_results(&tiny_opts(), false);
         let f5 = report_fig5(&results);
         assert!(f5.contains("Aegis 9x61"));
         assert!(f5.contains("SAFER64"));

@@ -21,7 +21,7 @@
 //! and the CLI suite.
 
 use crate::csvout;
-use crate::runner::{run_labeled_range, unit_estimates, RunObserver, RunOptions, SchemeSummary};
+use crate::runner::SchemeSummary;
 use crate::schemes::{self, Policy};
 use pcm_sim::montecarlo::MemoryRun;
 use std::io;
@@ -79,31 +79,6 @@ pub fn assemble(runs: &[MemoryRun]) -> Fig8 {
         }
     }
     Fig8 { by_fraction }
-}
-
-/// Runs the Figure 8 sweep.
-#[must_use]
-pub fn run(opts: &RunOptions) -> Fig8 {
-    run_with(opts, &RunObserver::default())
-}
-
-/// [`run`] with telemetry/progress observation.
-#[must_use]
-pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Fig8 {
-    let runs: Vec<MemoryRun> = units()
-        .iter()
-        .map(|(percent, policy)| {
-            let cfg = opts.sim_config_partial(FIG8_BLOCK_BITS, *percent as f64 / 100.0);
-            let label = unit_label(&policy.name(), *percent);
-            let run = run_labeled_range(policy.as_ref(), &label, &cfg, observer, 0, opts.pages);
-            observer.unit_barrier_with(
-                opts.pages as u64,
-                &unit_estimates(&label, FIG8_BLOCK_BITS, &run),
-            );
-            run
-        })
-        .collect();
-    assemble(&runs)
 }
 
 /// Renders the sweep as one table per partially-stuck fraction.
@@ -172,7 +147,18 @@ pub fn write_csv(results: &Fig8, out_dir: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+    use crate::runner::{RunObserver, RunOptions};
     use pcm_sim::montecarlo::FailureCriterion;
+
+    fn run(opts: &RunOptions) -> Fig8 {
+        let specs = Campaign::Fig8.specs(opts, false);
+        let units = Campaign::Fig8
+            .run(&specs, 0..opts.pages, &RunObserver::default(), None)
+            .expect("no checkpoint, no I/O")
+            .expect("no checkpoint, no stop");
+        assemble(&units.into_iter().map(|unit| unit.run).collect::<Vec<_>>())
+    }
 
     fn tiny() -> RunOptions {
         RunOptions {

@@ -1,8 +1,10 @@
 //! Figure 9: page survival rate under continuous writes, and the
 //! half-lifetime metric.
 
+use crate::campaign::{run_units, Timelines};
+use crate::checkpoint::UnitSpec;
 use crate::csvout;
-use crate::runner::{run_chip_with, RunObserver, RunOptions};
+use crate::runner::{RunObserver, RunOptions};
 use crate::schemes;
 use pcm_sim::montecarlo::{half_lifetime, survival_curve};
 use std::io;
@@ -26,20 +28,21 @@ pub fn run(opts: &RunOptions) -> Vec<SchemeSurvival> {
     run_with(opts, &RunObserver::default())
 }
 
-/// [`run`] with telemetry/progress observation.
+/// [`run`] with telemetry/progress observation. Every scheme samples its
+/// own pages.
 #[must_use]
 pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Vec<SchemeSurvival> {
     let mut policies = schemes::failcdf_schemes();
     policies.push(schemes::unprotected(512));
-    policies
-        .iter()
-        .map(|policy| {
-            let run = run_chip_with(policy, 512, opts, observer);
-            SchemeSurvival {
-                name: policy.name(),
-                curve: survival_curve(&run.page_lifetimes),
-                half_lifetime: half_lifetime(&run.page_lifetimes),
-            }
+    let specs = UnitSpec::sweep(opts.sim_config(512), policies);
+    run_units(&specs, 0..opts.pages, observer, Timelines::PerUnit, None)
+        .expect("a run without a checkpoint does no I/O")
+        .expect("a run without a checkpoint never stops early")
+        .into_iter()
+        .map(|unit| SchemeSurvival {
+            name: unit.scheme,
+            curve: survival_curve(&unit.run.page_lifetimes),
+            half_lifetime: half_lifetime(&unit.run.page_lifetimes),
         })
         .collect()
 }

@@ -4,8 +4,10 @@
 //! Each module maps to one artifact of the paper's §3 and exposes a
 //! `run(..)` producing structured results plus `report(..)` /
 //! `write_csv(..)` for presentation — the `experiments` binary is a thin
-//! CLI over these, and the Criterion benches in `crates/bench` reuse the
-//! same entry points at reduced scale.
+//! CLI over these, and the benches in `crates/bench` reuse the same entry
+//! points at reduced scale. Every chip-level Monte Carlo goes through one
+//! executor, [`campaign::run_units`]; Figures 5–7 and fig8 are durable
+//! [`campaign::Campaign`]s, so they have no `run(..)` of their own.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -30,6 +32,7 @@
 pub mod analyze;
 pub mod biasstudy;
 pub mod cachestudy;
+pub mod campaign;
 pub mod checkpoint;
 pub mod csvout;
 pub mod diff;

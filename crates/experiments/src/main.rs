@@ -6,12 +6,12 @@
 //! is not a failure: the rest of the report is dropped, files are still
 //! written, and the exit code is the run's own.
 
-use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl, CheckpointOutcome};
+use aegis_experiments::campaign::Campaign;
+use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
 use aegis_experiments::runner::RunOptions;
 use aegis_experiments::{
-    analyze, biasstudy, cachestudy, checkpoint, diff, failcdf, fig10, fig567, fig8, fig9, monitor,
-    osassist, payg_check, runner, schemes, shardmerge, table1, telemetry, variants,
-    wearlevel_check, writecost,
+    analyze, biasstudy, cachestudy, diff, failcdf, fig10, fig9, monitor, osassist, payg_check,
+    runner, schemes, shardmerge, table1, telemetry, variants, wearlevel_check, writecost,
 };
 use pcm_sim::forensics;
 use pcm_sim::montecarlo::FailureCriterion;
@@ -220,6 +220,9 @@ struct Cli {
     interval: u64,
     threshold: Option<f64>,
     target_rse: Option<f64>,
+    /// Fingerprinted options given on the command line (`--resume` refuses
+    /// any that disagree with the snapshot, default values included).
+    explicit: Vec<&'static str>,
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -250,6 +253,7 @@ fn parse_args() -> Result<Cli, String> {
         interval: 2,
         threshold: None,
         target_rse: None,
+        explicit: Vec::new(),
     };
     let mut samples = 1u32;
     let mut guaranteed = false;
@@ -267,6 +271,16 @@ fn parse_args() -> Result<Cli, String> {
                     .map_err(|e| format!("{}: invalid value '{raw}': {e}\n\n{USAGE}", $name))?
             }};
         }
+        let explicit: &[&'static str] = match arg.as_str() {
+            "--pages" => &["pages"],
+            "--trials" => &["trials"],
+            "--seed" => &["seed"],
+            "--page-bytes" => &["page_bytes"],
+            "--samples" | "--guaranteed" => &["criterion"],
+            "--full" => &["pages", "trials"],
+            _ => &[],
+        };
+        cli.explicit.extend_from_slice(explicit);
         match arg.as_str() {
             "--pages" => cli.opts.pages = parsed!("--pages"),
             "--trials" => cli.opts.trials = parsed!("--trials"),
@@ -431,67 +445,26 @@ fn run_table1(ctx: &Ctx) -> std::io::Result<()> {
     table1::write_csv(&table, ctx.out)
 }
 
-fn run_fig567(command: &str, ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[fig5-7] simulating {} pages per block size…",
-        ctx.opts.pages
-    ));
-    let results = {
-        let _span = ctx.span("fig567.montecarlo")?;
-        match ctx.ckpt {
-            None => fig567::run_with_mode(ctx.opts, &ctx.observer(), ctx.scalar),
-            Some(ctl) => {
-                match checkpoint::run_fig567_checkpointed(
-                    ctx.opts,
-                    &ctx.observer(),
-                    ctx.scalar,
-                    ctl,
-                )? {
-                    CheckpointOutcome::Complete(results) => results,
-                    CheckpointOutcome::Interrupted => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::Interrupted,
-                            format!("checkpoint written to {}", ctl.path.display()),
-                        ));
-                    }
-                }
-            }
-        }
+/// Runs a fig5/6/7 or fig8 campaign through the executor, with the
+/// checkpoint control block when one is set, then prints the reports
+/// `command` shows and writes the CSVs.
+fn run_campaign(command: &str, campaign: Campaign, ctx: &Ctx) -> std::io::Result<()> {
+    ctx.status(&campaign.banner(ctx.opts.pages));
+    let specs = campaign.specs(ctx.opts, ctx.scalar);
+    let units = {
+        let _span = ctx.span(campaign.span_name())?;
+        campaign.run(&specs, 0..ctx.opts.pages, &ctx.observer(), ctx.ckpt)?
     };
-    if matches!(command, "fig5" | "all") {
-        pipe_println!("{}", fig567::report_fig5(&results));
-    }
-    if matches!(command, "fig6" | "all") {
-        pipe_println!("{}", fig567::report_fig6(&results));
-    }
-    if matches!(command, "fig7" | "all") {
-        pipe_println!("{}", fig567::report_fig7(&results));
-    }
-    fig567::write_csvs(&results, ctx.out)
-}
-
-fn run_fig8(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[fig8] sweeping partially-stuck fractions over {} pages per unit…",
-        ctx.opts.pages
-    ));
-    let results = {
-        let _span = ctx.span("fig8.montecarlo")?;
-        match ctx.ckpt {
-            None => fig8::run_with(ctx.opts, &ctx.observer()),
-            Some(ctl) => match checkpoint::run_fig8_checkpointed(ctx.opts, &ctx.observer(), ctl)? {
-                checkpoint::Fig8CheckpointOutcome::Complete(results) => results,
-                checkpoint::Fig8CheckpointOutcome::Interrupted => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Interrupted,
-                        format!("checkpoint written to {}", ctl.path.display()),
-                    ));
-                }
-            },
-        }
+    let Some(units) = units else {
+        let path = ctx.ckpt.map(|ctl| ctl.path.display().to_string());
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::Interrupted,
+            format!("checkpoint written to {}", path.unwrap_or_default()),
+        ));
     };
-    pipe_println!("{}", fig8::report(&results));
-    fig8::write_csv(&results, ctx.out)
+    campaign.publish(command, &specs, units, ctx.out, |report| {
+        pipe_println!("{report}");
+    })
 }
 
 fn run_failcdf(ctx: &Ctx) -> std::io::Result<()> {
@@ -625,8 +598,8 @@ fn run_biasstudy(ctx: &Ctx) -> std::io::Result<()> {
 fn dispatch(command: &str, ctx: &Ctx) -> Result<std::io::Result<()>, ()> {
     Ok(match command {
         "table1" => run_table1(ctx),
-        "fig5" | "fig6" | "fig7" => run_fig567(command, ctx),
-        "fig8" => run_fig8(ctx),
+        "fig5" | "fig6" | "fig7" => run_campaign(command, Campaign::Fig567, ctx),
+        "fig8" => run_campaign(command, Campaign::Fig8, ctx),
         "failcdf" => run_failcdf(ctx),
         "fig9" => run_fig9(ctx),
         "fig10" => run_fig10(ctx),
@@ -638,8 +611,8 @@ fn dispatch(command: &str, ctx: &Ctx) -> Result<std::io::Result<()>, ()> {
         "writecost" => run_writecost(ctx),
         "biasstudy" => run_biasstudy(ctx),
         "all" => run_table1(ctx)
-            .and_then(|()| run_fig567("all", ctx))
-            .and_then(|()| run_fig8(ctx))
+            .and_then(|()| run_campaign("all", Campaign::Fig567, ctx))
+            .and_then(|()| run_campaign("all", Campaign::Fig8, ctx))
             .and_then(|()| run_failcdf(ctx))
             .and_then(|()| run_fig9(ctx))
             .and_then(|()| run_fig10(ctx))
@@ -733,11 +706,11 @@ fn config_fingerprint(command: &str, cli: &Cli) -> Vec<(String, String)> {
 
 /// Adopts the resume snapshot's recorded configuration into the CLI.
 ///
-/// Options left at their defaults take the snapshot's values; options the
-/// user set explicitly to something else are refused — resuming under a
-/// different configuration could never reproduce the original run.
+/// Options not given on the command line take the snapshot's values;
+/// options given explicitly with a different value — even the default
+/// one — are refused: resuming under a different configuration could
+/// never reproduce the original run.
 fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
-    let defaults = RunOptions::default();
     let stored = |key: &str| -> Result<&str, String> {
         ckpt.fingerprint_value(key)
             .ok_or_else(|| format!("checkpoint lacks fingerprint key '{key}'"))
@@ -753,12 +726,12 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
         key: &str,
         stored: &str,
         current: T,
-        default: T,
+        explicit: bool,
     ) -> Result<T, String> {
         let recorded: T = stored
             .parse()
             .map_err(|_| format!("checkpoint fingerprint '{key}' value '{stored}' is malformed"))?;
-        if current != recorded && current != default {
+        if explicit && current != recorded {
             return Err(format!(
                 "checkpoint was taken with {key}={recorded} but the command line says \
                  {key}={current}; drop the conflicting option or start a fresh run"
@@ -766,23 +739,24 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
         }
         Ok(recorded)
     }
-    cli.opts.seed = adopt("seed", stored("seed")?, cli.opts.seed, defaults.seed)?;
-    cli.opts.pages = adopt("pages", stored("pages")?, cli.opts.pages, defaults.pages)?;
+    let explicit = |key: &'static str| cli.explicit.contains(&key);
+    cli.opts.seed = adopt("seed", stored("seed")?, cli.opts.seed, explicit("seed"))?;
+    cli.opts.pages = adopt("pages", stored("pages")?, cli.opts.pages, explicit("pages"))?;
     cli.opts.trials = adopt(
         "trials",
         stored("trials")?,
         cli.opts.trials,
-        defaults.trials,
+        explicit("trials"),
     )?;
     cli.opts.page_bytes = adopt(
         "page_bytes",
         stored("page_bytes")?,
         cli.opts.page_bytes,
-        defaults.page_bytes,
+        explicit("page_bytes"),
     )?;
     let criterion = stored("criterion")?;
     let current_label = criterion_label(cli.opts.criterion);
-    if current_label != criterion && current_label != criterion_label(defaults.criterion) {
+    if explicit("criterion") && current_label != criterion {
         return Err(format!(
             "checkpoint was taken with criterion={criterion} but the command line says \
              criterion={current_label}; drop the conflicting option or start a fresh run"
@@ -862,8 +836,8 @@ fn set_run_meta(tel: &RunTelemetry, command: &str, cli: &Cli) {
 }
 
 /// `experiments shard FIG --shards K --shard-id I`: run one stripe of a
-/// fig5/6/7 campaign and leave its telemetry + raw-results sidecar for
-/// `merge`. No reports or CSVs — those are the merged campaign's.
+/// fig5/6/7 or fig8 campaign and leave its telemetry + raw-results sidecar
+/// for `merge`. No reports or CSVs — those are the merged campaign's.
 fn run_shard(cli: &Cli) -> ExitCode {
     let usage_error = |msg: &str| {
         eprintln!("shard: {msg}\n\n{USAGE}");
@@ -872,12 +846,11 @@ fn run_shard(cli: &Cli) -> ExitCode {
     let Some(figure) = cli.positionals.first() else {
         return usage_error("expects a figure command (fig5, fig6, fig7 or fig8)");
     };
-    if !matches!(figure.as_str(), "fig5" | "fig6" | "fig7" | "fig8") {
+    let Some(campaign) = Campaign::of(figure) else {
         return usage_error(&format!(
             "'{figure}' cannot be sharded (only fig5, fig6, fig7 and fig8 can)"
         ));
-    }
-    let is_fig8 = figure == "fig8";
+    };
     let (Some(shards), Some(shard_id)) = (cli.shards, cli.shard_id) else {
         return usage_error("--shards and --shard-id are required");
     };
@@ -946,16 +919,9 @@ fn run_shard(cli: &Cli) -> ExitCode {
     } else {
         StatusWriter::disabled()
     };
+    let specs = campaign.specs(&cli.opts, cli.scalar);
     if status.is_enabled() {
-        let units: usize = if is_fig8 {
-            fig8::units().len()
-        } else {
-            checkpoint::unit_policies(cli.scalar)
-                .iter()
-                .map(|(_, policies)| policies.len())
-                .sum()
-        };
-        status.set_total_pages((units * (hi - lo)) as u64);
+        status.set_total_pages((specs.len() * (hi - lo)) as u64);
         status.set_shard(shard_id as u64, shards as u64);
     }
     let observer = runner::RunObserver {
@@ -964,26 +930,15 @@ fn run_shard(cli: &Cli) -> ExitCode {
         status: status.is_enabled().then_some(&status),
         ..runner::RunObserver::default()
     };
-    let units = {
-        let span_name = if is_fig8 {
-            "fig8.montecarlo"
-        } else {
-            "fig567.montecarlo"
-        };
-        let span = match tel.span(span_name) {
-            Ok(span) => span,
-            Err(err) => {
-                eprintln!("telemetry: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let units = if is_fig8 {
-            shardmerge::run_fig8_shard_units(&cli.opts, &observer, lo, hi)
-        } else {
-            shardmerge::run_shard_units(&cli.opts, &observer, cli.scalar, lo, hi)
-        };
-        drop(span);
-        units
+    let units = match tel
+        .span(campaign.span_name())
+        .and_then(|_span| campaign.run(&specs, lo..hi, &observer, None))
+    {
+        Ok(units) => units.expect("a run without a checkpoint never stops early"),
+        Err(err) => {
+            eprintln!("telemetry: {err}");
+            return ExitCode::FAILURE;
+        }
     };
     let sidecar = Checkpoint {
         every: 0,
@@ -1047,27 +1002,15 @@ fn run_merge(cli: &Cli) -> ExitCode {
         eprintln!("merge: shard manifests carry a non-numeric 'seed' option");
         return ExitCode::from(USAGE_ERROR);
     };
-    let is_fig8 = command == "fig8";
-    // fig8 rebuilds its unit specs from the campaign options; only the
-    // spec labels and block size matter for validating the sidecars.
-    let merge_opts = RunOptions {
-        seed,
-        pages: option("pages")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(RunOptions::default().pages),
-        ..RunOptions::default()
+    let Some(campaign) = Campaign::of(&command) else {
+        eprintln!("merge: shards record command '{command}', which is not a campaign");
+        return ExitCode::from(USAGE_ERROR);
     };
-    enum Merged {
-        Fig567(fig567::Fig567),
-        Fig8(fig8::Fig8),
-    }
-    let merged = if is_fig8 {
-        shardmerge::merge_fig8_results(&inputs, &merge_opts).map(Merged::Fig8)
-    } else {
-        shardmerge::merge_results(&inputs, scalar).map(Merged::Fig567)
-    };
-    let results = match merged {
-        Ok(results) => results,
+    // The rebuilt unit specs validate the sidecars and summarize the runs;
+    // only their labels, block sizes and policies matter.
+    let specs = campaign.specs(&RunOptions::default(), scalar);
+    let units = match shardmerge::merge_results(&inputs, &specs) {
+        Ok(units) => units,
         Err(msg) => {
             eprintln!("merge: {msg}");
             return ExitCode::from(USAGE_ERROR);
@@ -1081,9 +1024,9 @@ fn run_merge(cli: &Cli) -> ExitCode {
     }
 
     // Rebuild the campaign's telemetry under its unsharded run id: the
-    // same span skeleton, the summed shard metrics, and one codec probe —
-    // after stripping volatile lines the stream is byte-identical to the
-    // run that was never sharded.
+    // same span skeleton and the summed shard metrics — after stripping
+    // volatile lines the stream is byte-identical to the run that was
+    // never sharded.
     let run_id = cli
         .run_id
         .clone()
@@ -1116,32 +1059,12 @@ fn run_merge(cli: &Cli) -> ExitCode {
     tel.set_meta("trace", "off");
     let emit = || -> std::io::Result<()> {
         {
-            let _span = tel.span(if is_fig8 {
-                "fig8.montecarlo"
-            } else {
-                "fig567.montecarlo"
-            })?;
+            let _span = tel.span(campaign.span_name())?;
             shardmerge::absorb_shard_streams(&inputs, tel.registry());
         }
-        {
-            let _span = tel.span("codec-probe")?;
-            telemetry::codec_probe(tel.registry(), seed);
-        }
-        match &results {
-            Merged::Fig567(results) => {
-                match command.as_str() {
-                    "fig5" => pipe_println!("{}", fig567::report_fig5(results)),
-                    "fig6" => pipe_println!("{}", fig567::report_fig6(results)),
-                    "fig7" => pipe_println!("{}", fig567::report_fig7(results)),
-                    _ => {}
-                }
-                fig567::write_csvs(results, &cli.out_dir)?;
-            }
-            Merged::Fig8(results) => {
-                pipe_println!("{}", fig8::report(results));
-                fig8::write_csv(results, &cli.out_dir)?;
-            }
-        }
+        campaign.publish(&command, &specs, units, &cli.out_dir, |report| {
+            pipe_println!("{report}");
+        })?;
         tel.finish().map(drop)
     };
     match emit() {
@@ -1395,7 +1318,7 @@ fn main() -> ExitCode {
     // the adopted CLI state produces the fingerprint new snapshots carry.
     let checkpointing =
         cli.checkpoint_every.is_some() || cli.resume.is_some() || cli.target_rse.is_some();
-    if checkpointing && !matches!(cli.command.as_str(), "fig5" | "fig6" | "fig7" | "fig8") {
+    if checkpointing && Campaign::of(&cli.command).is_none() {
         eprintln!(
             "--checkpoint-every/--resume/--target-rse only apply to fig5, fig6, fig7 \
              and fig8\n\n{USAGE}"
@@ -1482,15 +1405,9 @@ fn main() -> ExitCode {
     if let Some(target) = cli.target_rse {
         status_w.set_target_rse(target);
     }
-    if status_w.is_enabled() && matches!(cli.command.as_str(), "fig5" | "fig6" | "fig7") {
-        let units: usize = checkpoint::unit_policies(cli.scalar)
-            .iter()
-            .map(|(_, policies)| policies.len())
-            .sum();
+    if let Some(campaign) = Campaign::of(&cli.command).filter(|_| status_w.is_enabled()) {
+        let units = campaign.specs(&cli.opts, cli.scalar).len();
         status_w.set_total_pages((units * cli.opts.pages) as u64);
-    }
-    if status_w.is_enabled() && cli.command == "fig8" {
-        status_w.set_total_pages((fig8::units().len() * cli.opts.pages) as u64);
     }
 
     let ckpt_ctl = if checkpointing {
@@ -1547,16 +1464,7 @@ fn main() -> ExitCode {
 
     let outcome = {
         let _run_span = tracer.span("run");
-        let outcome = dispatch(&cli.command, &ctx);
-        if matches!(outcome, Ok(Ok(()))) && tel.is_enabled() {
-            // The figure paths exercise analytic policies; the codec probe
-            // feeds the codec.<scheme>.* counters through the shared
-            // WriteTelemetry path so every run's report covers both layers.
-            if let Ok(_span) = ctx.span("codec-probe") {
-                telemetry::codec_probe(tel.registry(), cli.opts.seed);
-            }
-        }
-        outcome
+        dispatch(&cli.command, &ctx)
     };
     // On interrupt the series sidecar stays open-ended (no run_end):
     // --resume reopens it at the checkpoint's cursor and continues it

@@ -1,8 +1,9 @@
 //! Shared orchestration: run scheme sets over simulated chips and
 //! summarize the metrics the figures report.
 
-use crate::schemes::Policy;
-use pcm_sim::montecarlo::{self, FailureCriterion, McTelemetry, MemoryRun, RunHooks, SimConfig};
+use pcm_sim::montecarlo::{
+    self, FailureCriterion, McTelemetry, MemoryRun, ProgressFn, RunHooks, SimConfig,
+};
 use pcm_sim::timeline::TimelineCache;
 use sim_telemetry::{Registry, SeriesWriter, StatusWriter, Tracer, UnitEstimate};
 
@@ -188,11 +189,12 @@ pub fn unit_estimates(label: &str, block_bits: usize, run: &MemoryRun) -> Vec<Un
 pub type SchemeProgressFn<'a> = dyn Fn(&str, usize, usize) + Sync + 'a;
 
 /// Observation hooks threaded through every experiment module. The default
-/// observes nothing; `run_*_with` entry points accept one of these so the
-/// CLI's `--telemetry`/`--progress` flags reach the Monte Carlo engine.
+/// observes nothing; `run_*_with` entry points and the executor accept one
+/// of these so the CLI's `--telemetry`/`--progress` flags reach the Monte
+/// Carlo engine.
 #[derive(Default, Clone, Copy)]
 pub struct RunObserver<'a> {
-    /// Registry receiving `mc.<scheme>.*` (and codec-probe) metrics.
+    /// Registry receiving the `mc.<scheme>.*` metrics.
     pub registry: Option<&'a Registry>,
     /// Per-scheme page-completion callback.
     pub progress: Option<&'a SchemeProgressFn<'a>>,
@@ -207,10 +209,10 @@ pub struct RunObserver<'a> {
     /// Live `<run-id>.status.json` heartbeats (`--status`): forwarded to
     /// the engine for page-level progress and folded at unit barriers.
     pub status: Option<&'a StatusWriter>,
-    /// Shared page-timeline cache. Campaign drivers set this so every
-    /// scheme evaluated under the same `(seed, width)` samples each page
-    /// once; [`summarize_schemes_with`] provides a per-sweep cache when the
-    /// caller brings none. Results are byte-identical with or without it.
+    /// Page-timeline cache for every unit of a run. When it is `None`, the
+    /// executor applies the caller's sharing rule
+    /// ([`crate::campaign::Timelines`]). Results are byte-identical with or
+    /// without a cache.
     pub timelines: Option<&'a TimelineCache>,
 }
 
@@ -226,9 +228,9 @@ impl<'a> RunObserver<'a> {
 
     /// Marks one Monte Carlo unit of `pages` pages complete: samples the
     /// time-series sidecar from the registry and folds the pages into the
-    /// status heartbeat's base count. Called at every unit barrier —
-    /// straight runs do this per scheme; chunked (checkpointed) runs only
-    /// when a unit's final chunk lands, keeping the sidecars identical.
+    /// status heartbeat's base count. Called once per unit, when its last
+    /// chunk lands or it stops early, so chunked and straight runs keep
+    /// identical sidecars.
     pub fn unit_barrier(&self, pages: u64) {
         self.unit_barrier_with(pages, &[]);
     }
@@ -252,88 +254,12 @@ impl<'a> RunObserver<'a> {
     }
 }
 
-/// Runs every policy over the same simulated chip (identical timelines) and
-/// summarizes each.
-#[must_use]
-pub fn summarize_schemes(
-    policies: &[Policy],
-    block_bits: usize,
-    opts: &RunOptions,
-) -> Vec<SchemeSummary> {
-    summarize_schemes_with(policies, block_bits, opts, &RunObserver::default())
-}
-
-/// [`summarize_schemes`] with telemetry/progress observation.
-#[must_use]
-pub fn summarize_schemes_with(
-    policies: &[Policy],
-    block_bits: usize,
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-) -> Vec<SchemeSummary> {
-    let cfg = opts.sim_config(block_bits);
-    // One shared timeline cache per scheme sweep: all schemes see the same
-    // sampled chip, so the (dominant) sampling cost is paid once per width
-    // instead of once per scheme. Campaign drivers that already carry a
-    // longer-lived cache keep theirs.
-    let sweep_cache = TimelineCache::new();
-    let observer = RunObserver {
-        timelines: observer.timelines.or(Some(&sweep_cache)),
-        ..*observer
-    };
-    policies
-        .iter()
-        .map(|policy| {
-            let run = run_observed(policy.as_ref(), &cfg, &observer);
-            SchemeSummary::from_run(policy.as_ref(), &run)
-        })
-        .collect()
-}
-
-fn run_observed(
-    policy: &dyn pcm_sim::policy::RecoveryPolicy,
-    cfg: &SimConfig,
-    observer: &RunObserver<'_>,
-) -> MemoryRun {
-    let name = policy.name();
-    let telemetry = observer
-        .registry
-        .map(|registry| McTelemetry::for_scheme(registry, &name));
-    let run = match observer.progress {
-        Some(report) => {
-            let forward = |done: usize, total: usize| report(&name, done, total);
-            let hooks = RunHooks {
-                telemetry,
-                progress: Some(&forward),
-                tracer: observer.tracer,
-                status: observer.status,
-                timelines: observer.timelines,
-            };
-            montecarlo::run_memory_with(policy, cfg, &hooks)
-        }
-        None => {
-            let hooks = RunHooks {
-                telemetry,
-                progress: None,
-                tracer: observer.tracer,
-                status: observer.status,
-                timelines: observer.timelines,
-            };
-            montecarlo::run_memory_with(policy, cfg, &hooks)
-        }
-    };
-    observer.unit_barrier_with(
-        cfg.pages as u64,
-        &unit_estimates(&name, cfg.block_bits, &run),
-    );
-    run
-}
-
 /// Runs one policy over the global pages `start..end` of an explicit chip
 /// configuration, recording telemetry/progress under `label` instead of
-/// the policy's own name. The shared engine path of the checkpointed,
-/// sharded, and swept (fig8) campaigns: a unit's label stays stable even
-/// when the same policy appears under several configurations.
+/// the policy's own name, so a unit's label stays stable even when the
+/// same policy appears under several configurations. The engine call
+/// under [`crate::campaign::run_units`], the one executor of every
+/// chip-level figure.
 #[must_use]
 pub fn run_labeled_range(
     policy: &dyn pcm_sim::policy::RecoveryPolicy,
@@ -343,54 +269,26 @@ pub fn run_labeled_range(
     start: usize,
     end: usize,
 ) -> MemoryRun {
-    let telemetry = observer
-        .registry
-        .map(|registry| McTelemetry::for_scheme(registry, label));
-    match observer.progress {
-        Some(report) => {
-            let forward = |done: usize, total: usize| report(label, done, total);
-            let hooks = RunHooks {
-                telemetry,
-                progress: Some(&forward),
-                tracer: observer.tracer,
-                status: observer.status,
-                timelines: observer.timelines,
-            };
-            montecarlo::run_memory_range_with(policy, cfg, start, end, &hooks)
-        }
-        None => {
-            let hooks = RunHooks {
-                telemetry,
-                progress: None,
-                tracer: observer.tracer,
-                status: observer.status,
-                timelines: observer.timelines,
-            };
-            montecarlo::run_memory_range_with(policy, cfg, start, end, &hooks)
-        }
-    }
-}
-
-/// Runs one policy and returns the raw chip run (for survival curves).
-#[must_use]
-pub fn run_chip(policy: &Policy, block_bits: usize, opts: &RunOptions) -> MemoryRun {
-    run_chip_with(policy, block_bits, opts, &RunObserver::default())
-}
-
-/// [`run_chip`] with telemetry/progress observation.
-#[must_use]
-pub fn run_chip_with(
-    policy: &Policy,
-    block_bits: usize,
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-) -> MemoryRun {
-    run_observed(policy.as_ref(), &opts.sim_config(block_bits), observer)
+    let forward = observer
+        .progress
+        .map(|report| move |done: usize, total: usize| report(label, done, total));
+    let hooks = RunHooks {
+        telemetry: observer
+            .registry
+            .map(|registry| McTelemetry::for_scheme(registry, label)),
+        progress: forward.as_ref().map(|f| f as &ProgressFn<'_>),
+        tracer: observer.tracer,
+        status: observer.status,
+        timelines: observer.timelines,
+    };
+    montecarlo::run_memory_range_with(policy, cfg, start, end, &hooks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_units, Timelines};
+    use crate::checkpoint::UnitSpec;
     use crate::schemes;
 
     #[test]
@@ -403,9 +301,28 @@ mod tests {
             page_bytes: 4096,
             threads: None,
         };
-        let policies = vec![schemes::ecp(6, 512), schemes::aegis(23, 23, 512)];
-        let a = summarize_schemes(&policies, 512, &opts);
-        let b = summarize_schemes(&policies, 512, &opts);
+        let summarize = || {
+            let specs = UnitSpec::sweep(
+                opts.sim_config(512),
+                vec![schemes::ecp(6, 512), schemes::aegis(23, 23, 512)],
+            );
+            let units = run_units(
+                &specs,
+                0..opts.pages,
+                &RunObserver::default(),
+                Timelines::Shared,
+                None,
+            )
+            .expect("no checkpoint, no I/O")
+            .expect("no checkpoint, no stop");
+            specs
+                .iter()
+                .zip(&units)
+                .map(|(spec, unit)| SchemeSummary::from_run(spec.policy.as_ref(), &unit.run))
+                .collect::<Vec<_>>()
+        };
+        let a = summarize();
+        let b = summarize();
         assert_eq!(a.len(), 2);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.mean_faults_recovered, y.mean_faults_recovered);

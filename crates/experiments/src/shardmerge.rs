@@ -1,30 +1,30 @@
-//! Seed-disjoint sharding and byte-deterministic merging of fig5/6/7
-//! Monte Carlo campaigns.
+//! Seed-disjoint sharding and byte-deterministic merging of the fig5/6/7
+//! and fig8 Monte Carlo campaigns.
 //!
 //! A shard runs the contiguous stripe of global page indices
 //! `[i·P/K, (i+1)·P/K)` with the campaign's master seed. Every page is
 //! its own [`sim_rng::substream_seed`] substream of that seed, so the
 //! shards consume pairwise-disjoint RNG streams and the union of their
 //! per-page results is exactly what one unsharded process would compute.
-//! Each shard writes its telemetry stream/manifest plus a
-//! `<run-id>.shard.json` sidecar carrying the raw per-page results (as
-//! exact `f64` bit patterns, in the checkpoint format).
+//! A shard is the executor ([`crate::campaign::run_units`]) over that
+//! stripe with no checkpoint. Each shard writes its telemetry
+//! stream/manifest plus a `<run-id>.shard.json` sidecar carrying the raw
+//! per-page results (as exact `f64` bit patterns, in the checkpoint
+//! format). A shard's unit barriers cover its stripe: its series sidecar
+//! is keyed by the shard's own cumulative pages, and its estimates are
+//! the stripe's own moments — a monitoring view, since merge recomputes
+//! the pooled interval from the concatenated per-page results.
 //!
 //! `merge` cross-checks the shard manifests (identical configuration and
 //! git revision, shard ids forming exactly `0..K`), sums the shard
-//! telemetry streams, re-runs the codec probe once, and emits the merged
-//! stream/manifest/CSVs under the campaign's run id. Shards are sorted by
-//! shard id before merging, so the output is independent of argument
-//! order; after stripping volatile lines the merged stream is
-//! byte-identical to the unsharded run's — pinned in the CLI test suite
-//! and the verify.sh/CI smoke.
+//! telemetry streams, and emits the merged stream/manifest/CSVs under the
+//! campaign's run id. Shards are sorted by shard id before merging, so
+//! the output is independent of argument order; after stripping volatile
+//! lines the merged stream is byte-identical to the unsharded run's —
+//! pinned in the CLI test suite and the verify.sh smoke.
 
-use crate::checkpoint::{
-    fig8_unit_specs, run_unit_range, unit_policies, Checkpoint, UnitProgress, UnitSpec,
-};
-use crate::fig567::Fig567;
-use crate::fig8::{self, Fig8};
-use crate::runner::{run_labeled_range, unit_estimates, RunObserver, RunOptions, SchemeSummary};
+use crate::checkpoint::{Checkpoint, UnitProgress, UnitSpec};
+use pcm_sim::montecarlo::MemoryRun;
 use sim_telemetry::{Event, Registry, RunManifest};
 use std::io;
 use std::path::Path;
@@ -41,84 +41,6 @@ pub fn shard_range(pages: usize, shards: usize, shard_id: usize) -> (usize, usiz
 #[must_use]
 pub fn shard_run_id(command: &str, seed: u64, shards: usize, shard_id: usize) -> String {
     format!("{command}-s{seed}-shard{shard_id}of{shards}")
-}
-
-/// Runs this shard's stripe of every fig5/6/7 unit and returns the
-/// per-unit raw results (pages `lo..hi` of each unit).
-#[must_use]
-pub fn run_shard_units(
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-    scalar: bool,
-    lo: usize,
-    hi: usize,
-) -> Vec<UnitProgress> {
-    // Shard-scope timeline cache: all schemes of one width share their
-    // stripe's sampled pages within this process.
-    let shard_timelines = pcm_sim::timeline::TimelineCache::new();
-    let observer = &RunObserver {
-        timelines: observer.timelines.or(Some(&shard_timelines)),
-        ..*observer
-    };
-    unit_policies(scalar)
-        .iter()
-        .flat_map(|(bits, set)| {
-            set.iter().map(|policy| {
-                let run = run_unit_range(policy, *bits, opts, observer, lo, hi);
-                // A shard's unit barrier covers its stripe: the series
-                // sidecar is keyed by *this shard's* cumulative pages and
-                // the status heartbeat folds `hi - lo` pages per unit.
-                // Estimates snapshot the stripe's own moments; merge
-                // recomputes the pooled interval from the concatenated
-                // per-page results, so shard-local estimates are a
-                // monitoring view, not an input to the merged CI.
-                observer.unit_barrier_with(
-                    (hi - lo) as u64,
-                    &unit_estimates(&policy.name(), *bits, &run),
-                );
-                UnitProgress {
-                    block_bits: *bits,
-                    scheme: policy.name(),
-                    pages_done: hi - lo,
-                    run,
-                }
-            })
-        })
-        .collect()
-}
-
-/// Runs this shard's stripe of every fig8 unit (the fig8 analogue of
-/// [`run_shard_units`]; the shard machinery is otherwise identical).
-#[must_use]
-pub fn run_fig8_shard_units(
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-    lo: usize,
-    hi: usize,
-) -> Vec<UnitProgress> {
-    fig8_unit_specs(opts)
-        .iter()
-        .map(|spec| {
-            let run = run_labeled_range(
-                spec.policy.as_ref(),
-                &spec.label,
-                &spec.cfg,
-                observer,
-                lo,
-                hi,
-            );
-            observer.unit_barrier_with(
-                (hi - lo) as u64,
-                &unit_estimates(&spec.label, spec.cfg.block_bits, &run),
-            );
-            UnitProgress {
-                block_bits: spec.cfg.block_bits,
-                scheme: spec.label.clone(),
-                pages_done: hi - lo,
-                run,
-            }
-        })
-        .collect()
 }
 
 /// Everything merge reads back for one shard.
@@ -296,101 +218,55 @@ pub fn validate_shards(inputs: &mut [ShardInput]) -> Result<(), String> {
 }
 
 /// Concatenates the sorted shards' per-unit results into full-campaign
-/// unit runs, cross-checking every shard's unit list.
-fn concat_units(inputs: &[ShardInput], unit_count: usize) -> Result<Vec<UnitProgress>, String> {
-    let mut merged: Vec<UnitProgress> = Vec::with_capacity(unit_count);
+/// units, cross-checking every shard's unit list against the campaign's
+/// rebuilt `specs`.
+///
+/// # Errors
+///
+/// Returns a message when a shard's unit list disagrees with `specs`.
+pub fn merge_results(
+    inputs: &[ShardInput],
+    specs: &[UnitSpec],
+) -> Result<Vec<UnitProgress>, String> {
+    let mut merged: Vec<UnitProgress> = specs
+        .iter()
+        .map(|spec| UnitProgress {
+            block_bits: spec.cfg.block_bits,
+            scheme: spec.label.clone(),
+            pages_done: 0,
+            run: MemoryRun::default(),
+        })
+        .collect();
     for input in inputs {
-        if input.sidecar.units.len() != unit_count {
+        if input.sidecar.units.len() != specs.len() {
             return Err(format!(
-                "shard '{}' records {} units but this build expects {unit_count}",
+                "shard '{}' records {} units but this build expects {}",
                 input.run_id,
-                input.sidecar.units.len()
+                input.sidecar.units.len(),
+                specs.len()
             ));
         }
-        for (index, unit) in input.sidecar.units.iter().enumerate() {
-            match merged.get_mut(index) {
-                None => merged.push(unit.clone()),
-                Some(acc) => {
-                    if acc.block_bits != unit.block_bits || acc.scheme != unit.scheme {
-                        return Err(format!(
-                            "shard '{}' unit {index} is '{}' ({} bits) but an earlier shard \
-                             recorded '{}' ({} bits)",
-                            input.run_id, unit.scheme, unit.block_bits, acc.scheme, acc.block_bits
-                        ));
-                    }
-                    acc.pages_done += unit.pages_done;
-                    acc.run
-                        .page_lifetimes
-                        .extend_from_slice(&unit.run.page_lifetimes);
-                    acc.run
-                        .unprotected_lifetimes
-                        .extend_from_slice(&unit.run.unprotected_lifetimes);
-                    acc.run
-                        .faults_recovered
-                        .extend_from_slice(&unit.run.faults_recovered);
-                    acc.run.capped_pages += unit.run.capped_pages;
-                }
+        for (acc, unit) in merged.iter_mut().zip(&input.sidecar.units) {
+            if acc.block_bits != unit.block_bits || acc.scheme != unit.scheme {
+                return Err(format!(
+                    "shard '{}' records unit '{}' ({} bits) where the campaign has '{}' ({} bits)",
+                    input.run_id, unit.scheme, unit.block_bits, acc.scheme, acc.block_bits
+                ));
             }
+            acc.pages_done += unit.pages_done;
+            acc.run
+                .page_lifetimes
+                .extend_from_slice(&unit.run.page_lifetimes);
+            acc.run
+                .unprotected_lifetimes
+                .extend_from_slice(&unit.run.unprotected_lifetimes);
+            acc.run
+                .faults_recovered
+                .extend_from_slice(&unit.run.faults_recovered);
+            acc.run.capped_pages += unit.run.capped_pages;
         }
     }
     Ok(merged)
-}
-
-/// Concatenates the sorted shards' per-unit results into full-campaign
-/// runs and summarizes them into the figure results.
-///
-/// # Errors
-///
-/// Returns a message when the shards' unit lists disagree.
-pub fn merge_results(inputs: &[ShardInput], scalar: bool) -> Result<Fig567, String> {
-    let sets = unit_policies(scalar);
-    let unit_count: usize = sets.iter().map(|(_, set)| set.len()).sum();
-    let merged = concat_units(inputs, unit_count)?;
-
-    let mut by_block = Vec::new();
-    let mut flat = 0usize;
-    for (bits, set) in &sets {
-        let mut summaries: Vec<SchemeSummary> = Vec::with_capacity(set.len());
-        for policy in set {
-            let unit = &merged[flat];
-            if unit.scheme != policy.name() || unit.block_bits != *bits {
-                return Err(format!(
-                    "merged unit '{}' ({} bits) does not match the rebuilt scheme set's \
-                     '{}' ({} bits)",
-                    unit.scheme,
-                    unit.block_bits,
-                    policy.name(),
-                    bits
-                ));
-            }
-            summaries.push(SchemeSummary::from_run(policy.as_ref(), &unit.run));
-            flat += 1;
-        }
-        by_block.push((*bits, summaries));
-    }
-    Ok(Fig567 { by_block })
-}
-
-/// [`merge_results`] for a fig8 campaign: concatenates the shards' unit
-/// runs and folds them into the sweep results.
-///
-/// # Errors
-///
-/// Returns a message when the shards' unit lists disagree with the
-/// rebuilt fig8 unit specs.
-pub fn merge_fig8_results(inputs: &[ShardInput], opts: &RunOptions) -> Result<Fig8, String> {
-    let specs: Vec<UnitSpec> = fig8_unit_specs(opts);
-    let merged = concat_units(inputs, specs.len())?;
-    for (spec, unit) in specs.iter().zip(&merged) {
-        if unit.scheme != spec.label || unit.block_bits != spec.cfg.block_bits {
-            return Err(format!(
-                "merged unit '{}' ({} bits) does not match the rebuilt fig8 unit '{}' ({} bits)",
-                unit.scheme, unit.block_bits, spec.label, spec.cfg.block_bits
-            ));
-        }
-    }
-    let runs: Vec<_> = merged.into_iter().map(|unit| unit.run).collect();
-    Ok(fig8::assemble(&runs))
 }
 
 /// Replays every metric event of the sorted shard streams into
@@ -432,6 +308,8 @@ pub fn absorb_shard_streams(inputs: &[ShardInput], registry: &Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+    use crate::runner::{RunObserver, RunOptions};
 
     #[test]
     fn shard_ranges_partition_the_page_space() {
@@ -454,10 +332,17 @@ mod tests {
             seed: 9,
             ..RunOptions::default()
         };
-        let observer = RunObserver::default();
-        let full = run_shard_units(&opts, &observer, false, 0, opts.pages);
-        let mut glued = run_shard_units(&opts, &observer, false, 0, 2);
-        let right = run_shard_units(&opts, &observer, false, 2, opts.pages);
+        let campaign = Campaign::Fig567;
+        let specs = campaign.specs(&opts, false);
+        let stripe = |pages: std::ops::Range<usize>| {
+            campaign
+                .run(&specs, pages, &RunObserver::default(), None)
+                .expect("no checkpoint, no I/O")
+                .expect("no checkpoint, no stop")
+        };
+        let full = stripe(0..opts.pages);
+        let mut glued = stripe(0..2);
+        let right = stripe(2..opts.pages);
         for (acc, part) in glued.iter_mut().zip(&right) {
             acc.pages_done += part.pages_done;
             acc.run
@@ -471,9 +356,6 @@ mod tests {
                 .extend_from_slice(&part.run.faults_recovered);
             acc.run.capped_pages += part.run.capped_pages;
         }
-        assert_eq!(full.len(), glued.len());
-        for (f, g) in full.iter().zip(&glued) {
-            assert_eq!(f, g);
-        }
+        assert_eq!(full, glued);
     }
 }

@@ -1,12 +1,12 @@
-//! Run-level telemetry plumbing for the CLI: run-id defaults, the
-//! codec-probe phase, and the `telemetry-report` renderer.
+//! Run-level telemetry plumbing for the CLI: run-id defaults, the codec
+//! probe, and the `telemetry-report` renderer.
 //!
 //! The figure experiments evaluate *analytic* recovery policies, which
-//! never issue physical writes — so when telemetry is enabled we also run
-//! a small codec probe (the [`crate::writecost`] sweep at reduced scale)
-//! through the shared `WriteTelemetry` path. That is what populates the
-//! `codec.<scheme>.*` counters (verify reads, re-partitions, inversion
-//! writes) alongside the Monte Carlo engine's `mc.<scheme>.*` metrics.
+//! never issue physical writes, so their streams carry only the Monte
+//! Carlo engine's `mc.<scheme>.*` metrics. The `codec.<scheme>.*` counters
+//! (verify reads, re-partitions, inversion writes) come from the
+//! functional codecs: `experiments writecost --telemetry` records them at
+//! full scale, and [`codec_probe`] runs the same sweep at reduced scale.
 
 use sim_telemetry::{
     split_metric, Event, HistogramSnapshot, Registry, RunManifest, HISTOGRAM_BUCKETS,
@@ -28,8 +28,8 @@ pub fn default_run_id(command: &str, seed: u64) -> String {
     format!("{command}-s{seed}")
 }
 
-/// Trials/writes used by the codec probe; small enough to be invisible in
-/// wall-clock but large enough that every scheme's counters are non-zero.
+/// Trials/writes used by the codec probe: large enough that every
+/// scheme's counters are non-zero.
 pub const PROBE_TRIALS: usize = 3;
 /// Writes per probe trial.
 pub const PROBE_WRITES: usize = 4;

@@ -2,8 +2,10 @@
 //! Aegis-rw-p) on the four 512-bit formations — one run powers all three
 //! figures.
 
+use crate::campaign::{run_units, Timelines};
+use crate::checkpoint::UnitSpec;
 use crate::csvout::{self, fmt_f64};
-use crate::runner::{summarize_schemes_with, RunObserver, RunOptions, SchemeSummary};
+use crate::runner::{RunObserver, RunOptions, SchemeSummary};
 use crate::schemes;
 use std::io;
 use std::path::Path;
@@ -21,11 +23,20 @@ pub fn run(opts: &RunOptions) -> Variants {
     run_with(opts, &RunObserver::default())
 }
 
-/// [`run`] with telemetry/progress observation.
+/// [`run`] with telemetry/progress observation. All schemes share one
+/// sampled chip.
 #[must_use]
 pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Variants {
+    let specs = UnitSpec::sweep(opts.sim_config(512), schemes::variant_schemes());
+    let units = run_units(&specs, 0..opts.pages, observer, Timelines::Shared, None)
+        .expect("a run without a checkpoint does no I/O")
+        .expect("a run without a checkpoint never stops early");
     Variants {
-        summaries: summarize_schemes_with(&schemes::variant_schemes(), 512, opts, observer),
+        summaries: specs
+            .iter()
+            .zip(&units)
+            .map(|(spec, unit)| SchemeSummary::from_run(spec.policy.as_ref(), &unit.run))
+            .collect(),
     }
 }
 

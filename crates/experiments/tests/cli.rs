@@ -211,7 +211,10 @@ fn telemetry_run_emits_stream_manifest_and_report() {
         String::from_utf8_lossy(&report.stderr)
     );
     let stdout = String::from_utf8_lossy(&report.stdout);
-    assert!(stdout.contains("verify_reads"), "{stdout}");
+    // A figure run records the Monte Carlo layer only; the codec layer is
+    // `writecost`'s.
+    assert!(stdout.contains("fault_events"), "{stdout}");
+    assert!(!stdout.contains("verify_reads"), "{stdout}");
     assert!(stdout.contains("fig567.montecarlo"), "{stdout}");
     assert!(stdout.contains("Aegis 9x61"), "{stdout}");
     let _ = std::fs::remove_dir_all(dir);
@@ -680,6 +683,52 @@ fn resume_refuses_conflicting_options_and_malformed_snapshots() {
         Some(2),
         "malformed snapshots are usage errors"
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// An option given on the command line conflicts with the snapshot even
+/// when its value is the option's default: `--seed 42` against a
+/// snapshot taken at seed 7 must be refused, not silently resumed at 7.
+#[test]
+fn resume_refuses_an_explicit_option_equal_to_its_default() {
+    let dir = std::env::temp_dir().join("aegis-cli-resume-explicit-default");
+    let _ = std::fs::remove_dir_all(&dir);
+    let tel = dir.join("telemetry");
+    std::fs::create_dir_all(&tel).expect("mkdir");
+    std::fs::write(
+        tel.join("r.ckpt.json"),
+        r#"{
+  "version": 2,
+  "every": 1,
+  "fingerprint": {
+    "command": "fig5", "seed": "7", "pages": "4", "trials": "4000",
+    "page_bytes": "4096", "criterion": "guaranteed-all-data",
+    "predicate_mode": "kernel"
+  },
+  "counters": {  },
+  "volatile": {  },
+  "histograms": [  ],
+  "units": [  ]
+}"#,
+    )
+    .expect("write snapshot");
+    for (option, value, key) in [
+        ("--seed", "42", "seed"),
+        ("--pages", "256", "pages"),
+        ("--samples", "1", "criterion"),
+    ] {
+        let output = experiments()
+            .args(["fig5", "--resume", "r", option, value, "--out"])
+            .arg(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{option} {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("checkpoint was taken with {key}=")),
+            "{stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

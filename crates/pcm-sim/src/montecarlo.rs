@@ -454,7 +454,7 @@ pub fn evaluate_page_with_scratch(
 }
 
 /// Configuration of a chip-level Monte Carlo run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Pages simulated (the paper's 8 MB chip has 2048 pages of 4 KB).
     pub pages: usize,

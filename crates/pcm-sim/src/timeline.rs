@@ -557,7 +557,6 @@ pub const DEFAULT_TIMELINE_CACHE_PAGES: usize = 16_384;
 ///
 /// The capacity is a page-count cap, not an eviction policy: once full, new
 /// keys are sampled and returned *uncached* (correct, just not shared).
-/// `SIM_TIMELINE_CACHE_PAGES` overrides the default cap at construction.
 pub struct TimelineCache {
     map: Mutex<HashMap<CacheKey, Arc<PageTimeline>>>,
     max_pages: usize,
@@ -584,15 +583,10 @@ impl Default for TimelineCache {
 }
 
 impl TimelineCache {
-    /// An empty cache with the default capacity, overridable via the
-    /// `SIM_TIMELINE_CACHE_PAGES` environment variable.
+    /// An empty cache holding up to [`DEFAULT_TIMELINE_CACHE_PAGES`] pages.
     #[must_use]
     pub fn new() -> Self {
-        let max_pages = std::env::var("SIM_TIMELINE_CACHE_PAGES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_TIMELINE_CACHE_PAGES);
-        Self::with_capacity(max_pages)
+        Self::with_capacity(DEFAULT_TIMELINE_CACHE_PAGES)
     }
 
     /// An empty cache retaining at most `max_pages` distinct pages

@@ -130,11 +130,11 @@ cmp "$fig8_out/ref/fig8.csv" "$fig8_out/sh/fig8.csv" \
     || { echo "merged fig8.csv differs from the unsharded run" >&2; exit 1; }
 rm -rf "$fig8_out"
 
-# Observability smoke: runs recorded with --series --status must leave a
-# series sidecar and a status heartbeat; `monitor --once --json` must
-# report the finished campaign all_done; `telemetry-diff` must find a
-# run clean against its own seed (exit 0) and drifted against a
-# different seed (exit 1) — the self-check that makes the diff tool
+# Observability smoke: runs and shards recorded with --series --status
+# must leave a series sidecar and a status heartbeat; `monitor --once
+# --json` must report the finished campaign all_done; `telemetry-diff`
+# must find a run clean against its own seed (exit 0) and drifted against
+# a different seed (exit 1) — the self-check that makes the diff tool
 # trustworthy as a regression gate.
 obs_out="${TMPDIR:-/tmp}/aegis-verify-obs"
 rm -rf "$obs_out"
@@ -145,6 +145,15 @@ for run in "obs-a 5" "obs-b 5" "obs-c 6"; do
         fig5 --pages 2 --seed "$2" --series --status --run-id "$1" \
         --quiet --out "$obs_out" >/dev/null
     for f in "$obs_out/telemetry/$1.series.jsonl" "$obs_out/telemetry/$1.status.json"; do
+        [[ -s "$f" ]] || { echo "missing observability output: $f" >&2; exit 1; }
+    done
+done
+for i in 0 1; do
+    cargo run --release --offline -p aegis-experiments -- \
+        shard fig5 --pages 8 --seed 7 --shards 2 --shard-id "$i" \
+        --series --status --quiet --out "$obs_out" >/dev/null
+    for f in "$obs_out/telemetry/fig5-s7-shard${i}of2.series.jsonl" \
+             "$obs_out/telemetry/fig5-s7-shard${i}of2.status.json"; do
         [[ -s "$f" ]] || { echo "missing observability output: $f" >&2; exit 1; }
     done
 done

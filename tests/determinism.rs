@@ -8,8 +8,12 @@
 //! in-tree `sim-rng` substrate was built to pin down (no platform RNG, no
 //! external crate whose algorithm may change under us).
 
-use aegis_experiments::runner::{summarize_schemes_with, RunObserver, RunOptions};
-use aegis_experiments::schemes;
+use aegis_experiments::campaign::{run_units, Campaign, Timelines};
+use aegis_experiments::checkpoint::{CheckpointCtl, UnitProgress, UnitSpec};
+use aegis_experiments::fig567::{self, Fig567};
+use aegis_experiments::fig8::{self, Fig8};
+use aegis_experiments::runner::{RunObserver, RunOptions, SchemeSummary};
+use aegis_experiments::schemes::{self, Policy};
 use aegis_pcm::aegis::{AegisPolicy, Rectangle};
 use aegis_pcm::pcm::forensics::{derive_block_timeline, trace_block, BlockTraceConfig};
 use aegis_pcm::pcm::montecarlo::{evaluate_block, run_memory, FailureCriterion, SimConfig};
@@ -19,6 +23,60 @@ use aegis_pcm::telemetry::{
     strip_volatile, Event, RunTelemetry, SeriesWriter, SharedBuf, StatusWriter, Tracer,
 };
 use sim_rng::{Rng, RngCore, SeedableRng, SmallRng};
+use std::ops::Range;
+
+/// Runs `set` over one 512-bit chip through the executor, every scheme
+/// sharing one timeline cache (one width of the fig5 sweep).
+fn sweep_512(
+    set: Vec<Policy>,
+    opts: &RunOptions,
+    observer: &RunObserver<'_>,
+) -> Vec<SchemeSummary> {
+    let specs = UnitSpec::sweep(opts.sim_config(512), set);
+    let units = run_units(&specs, 0..opts.pages, observer, Timelines::Shared, None)
+        .expect("no checkpoint, no I/O")
+        .expect("no checkpoint, no stop");
+    specs
+        .iter()
+        .zip(&units)
+        .map(|(spec, unit)| SchemeSummary::from_run(spec.policy.as_ref(), &unit.run))
+        .collect()
+}
+
+/// Runs `campaign` over `pages` through the executor; `None` when an
+/// interrupt stopped it at a checkpoint barrier.
+fn campaign_units(
+    campaign: Campaign,
+    opts: &RunOptions,
+    pages: Range<usize>,
+    observer: &RunObserver<'_>,
+    ctl: Option<&CheckpointCtl<'_>>,
+) -> Option<Vec<UnitProgress>> {
+    campaign
+        .run(&campaign.specs(opts, false), pages, observer, ctl)
+        .expect("campaign run")
+}
+
+/// The fig5/6/7 results of a (possibly checkpointed) campaign run.
+fn fig567_run(
+    opts: &RunOptions,
+    observer: &RunObserver<'_>,
+    ctl: Option<&CheckpointCtl<'_>>,
+) -> Option<Fig567> {
+    let specs = Campaign::Fig567.specs(opts, false);
+    campaign_units(Campaign::Fig567, opts, 0..opts.pages, observer, ctl)
+        .map(|units| fig567::assemble(&specs, &units))
+}
+
+/// The fig8 results of a (possibly checkpointed) campaign run.
+fn fig8_run(
+    opts: &RunOptions,
+    observer: &RunObserver<'_>,
+    ctl: Option<&CheckpointCtl<'_>>,
+) -> Option<Fig8> {
+    campaign_units(Campaign::Fig8, opts, 0..opts.pages, observer, ctl)
+        .map(|units| fig8::assemble(&units.into_iter().map(|unit| unit.run).collect::<Vec<_>>()))
+}
 
 /// The raw generator is reproducible from a seed and sensitive to it.
 #[test]
@@ -208,7 +266,7 @@ fn telemetry_stream_with(seed: u64, scalar: bool, threads: Option<usize>) -> Str
     } else {
         schemes::fig5_schemes(512)
     };
-    let _ = summarize_schemes_with(&set, 512, &opts, &observer);
+    let _ = sweep_512(set, &opts, &observer);
     run.finish().expect("finish");
     buf.text()
 }
@@ -305,12 +363,7 @@ fn thread_count_does_not_perturb_results_or_telemetry() {
             threads,
             ..RunOptions::default()
         };
-        summarize_schemes_with(
-            &schemes::fig5_schemes(512),
-            512,
-            &opts,
-            &RunObserver::default(),
-        )
+        sweep_512(schemes::fig5_schemes(512), &opts, &RunObserver::default())
     };
     let one = summaries(Some(1));
     let four = summaries(Some(4));
@@ -344,7 +397,7 @@ fn telemetry_stream_traced(seed: u64, threads: Option<usize>) -> String {
         tracer: Some(&tracer),
         ..RunObserver::default()
     };
-    let _ = summarize_schemes_with(&schemes::fig5_schemes(512), 512, &opts, &observer);
+    let _ = sweep_512(schemes::fig5_schemes(512), &opts, &observer);
     let log = tracer
         .finish("det-check")
         .expect("an enabled tracer yields a log");
@@ -409,7 +462,7 @@ fn series_stream_with(
         status,
         ..RunObserver::default()
     };
-    let _ = summarize_schemes_with(&schemes::fig5_schemes(512), 512, &opts, &observer);
+    let _ = sweep_512(schemes::fig5_schemes(512), &opts, &observer);
     series.finish().expect("series finish");
     run.finish().expect("finish");
     (buf.text(), series_buf.text())
@@ -433,7 +486,7 @@ fn series_sidecar_is_byte_identical_across_threads_tracing_and_monitoring() {
             ..RunOptions::default()
         };
         let observer = RunObserver::with_registry(run.registry());
-        let _ = summarize_schemes_with(&schemes::fig5_schemes(512), 512, &opts, &observer);
+        let _ = sweep_512(schemes::fig5_schemes(512), &opts, &observer);
         run.finish().expect("finish");
         (buf.text(), ())
     };
@@ -484,9 +537,7 @@ fn series_sidecar_is_byte_identical_across_threads_tracing_and_monitoring() {
 /// that was never interrupted.
 #[test]
 fn checkpoint_resume_continues_the_series_sidecar() {
-    use aegis_experiments::checkpoint::{
-        run_fig567_checkpointed, Checkpoint, CheckpointCtl, CheckpointOutcome,
-    };
+    use aegis_experiments::checkpoint::Checkpoint;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let opts = RunOptions {
@@ -509,24 +560,19 @@ fn checkpoint_resume_continues_the_series_sidecar() {
             series: Some(&series),
             ..RunObserver::default()
         };
-        match run_fig567_checkpointed(
+        fig567_run(
             &opts,
             &observer,
-            false,
-            &CheckpointCtl {
+            Some(&CheckpointCtl {
                 path: dir.join("straight.ckpt.json"),
                 every: 2,
                 interrupted: &AtomicBool::new(false),
                 resume: None,
                 fingerprint: vec![("command".to_owned(), "fig5".to_owned())],
                 target_rse: None,
-            },
+            }),
         )
-        .expect("straight run")
-        {
-            CheckpointOutcome::Complete(_) => {}
-            CheckpointOutcome::Interrupted => panic!("nothing interrupts the straight leg"),
-        }
+        .expect("nothing interrupts the straight leg");
         series.finish().expect("series finish");
         run.finish().expect("finish");
     }
@@ -556,10 +602,10 @@ fn checkpoint_resume_continues_the_series_sidecar() {
             fingerprint: vec![("command".to_owned(), "fig5".to_owned())],
             target_rse: None,
         };
-        match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("interrupted run") {
-            CheckpointOutcome::Interrupted => {}
-            CheckpointOutcome::Complete(_) => panic!("the pulled plug must stop the run"),
-        }
+        assert!(
+            fig567_run(&opts, &observer, Some(&ctl)).is_none(),
+            "the pulled plug must stop the run"
+        );
         assert!(path.exists(), "interruption must leave a snapshot");
         run.finish().expect("finish");
         // The writer is dropped without finish(): an interrupted sidecar
@@ -585,10 +631,7 @@ fn checkpoint_resume_continues_the_series_sidecar() {
             fingerprint: vec![("command".to_owned(), "fig5".to_owned())],
             target_rse: None,
         };
-        match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("resumed run") {
-            CheckpointOutcome::Complete(_) => {}
-            CheckpointOutcome::Interrupted => panic!("nothing interrupts the resumed leg"),
-        }
+        fig567_run(&opts, &observer, Some(&ctl)).expect("nothing interrupts the resumed leg");
         series.finish().expect("series finish");
         run.finish().expect("finish");
     }
@@ -611,9 +654,6 @@ fn checkpoint_resume_continues_the_series_sidecar() {
 /// run with early stopping disabled.
 #[test]
 fn unreached_target_rse_and_estimates_leave_the_stream_byte_identical() {
-    use aegis_experiments::checkpoint::{
-        run_fig567_checkpointed, CheckpointCtl, CheckpointOutcome,
-    };
     use std::sync::atomic::AtomicBool;
 
     let dir = std::env::temp_dir().join("aegis-det-target-rse");
@@ -642,12 +682,8 @@ fn unreached_target_rse_and_estimates_leave_the_stream_byte_identical() {
             fingerprint: vec![("command".to_owned(), "fig5".to_owned())],
             target_rse,
         };
-        let results = match run_fig567_checkpointed(&opts, &observer, false, &ctl)
-            .expect("checkpointed run")
-        {
-            CheckpointOutcome::Complete(results) => results,
-            CheckpointOutcome::Interrupted => panic!("nothing interrupts this leg"),
-        };
+        let results =
+            fig567_run(&opts, &observer, Some(&ctl)).expect("nothing interrupts this leg");
         series.finish().expect("series finish");
         run.finish().expect("finish");
         let sidecar = std::fs::read_to_string(series_dir.join("tr.series.jsonl")).expect("sidecar");
@@ -801,10 +837,7 @@ fn page_ranges_concatenate_to_the_full_run() {
 /// results match bit for bit — the tentpole contract of `--resume`.
 #[test]
 fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
-    use aegis_experiments::checkpoint::{
-        run_fig567_checkpointed, Checkpoint, CheckpointCtl, CheckpointOutcome,
-    };
-    use aegis_experiments::fig567;
+    use aegis_experiments::checkpoint::Checkpoint;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let opts = RunOptions {
@@ -821,7 +854,7 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("ck-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        let _ = fig567::run_with_mode(&opts, &observer, false);
+        let _ = fig567_run(&opts, &observer, None);
         run.finish().expect("finish");
         buf.text()
     };
@@ -841,10 +874,10 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("ck-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("checkpointed run") {
-            CheckpointOutcome::Interrupted => {}
-            CheckpointOutcome::Complete(_) => panic!("pending interrupt must stop the run"),
-        }
+        assert!(
+            fig567_run(&opts, &observer, Some(&ctl)).is_none(),
+            "pending interrupt must stop the run"
+        );
         assert!(path.exists(), "interruption must leave a snapshot behind");
         run.finish().expect("finish");
         interrupted.store(false, Ordering::SeqCst);
@@ -866,10 +899,7 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let run = RunTelemetry::with_buffer("ck-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
         let results =
-            match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("resumed run") {
-                CheckpointOutcome::Complete(results) => results,
-                CheckpointOutcome::Interrupted => panic!("nothing interrupts the resumed leg"),
-            };
+            fig567_run(&opts, &observer, Some(&ctl)).expect("nothing interrupts the resumed leg");
         run.finish().expect("finish");
         (results, buf.text())
     };
@@ -882,7 +912,7 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
 
     let straight = {
         let observer = RunObserver::default();
-        fig567::run_with_mode(&opts, &observer, false)
+        fig567_run(&opts, &observer, None).expect("no checkpoint, no stop")
     };
     assert_eq!(resumed.by_block.len(), straight.by_block.len());
     for ((rb, rs), (sb, ss)) in resumed.by_block.iter().zip(&straight.by_block) {
@@ -901,7 +931,7 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
 }
 
 /// Flattens a fig8 sweep into a bit-exact comparison key.
-fn fig8_bits(results: &aegis_experiments::fig8::Fig8) -> Vec<(usize, String, u64, u64)> {
+fn fig8_bits(results: &Fig8) -> Vec<(usize, String, u64, u64)> {
     results
         .by_fraction
         .iter()
@@ -924,7 +954,6 @@ fn fig8_bits(results: &aegis_experiments::fig8::Fig8) -> Vec<(usize, String, u64
 /// them — including the partial-fault timelines the sweep is built on.
 #[test]
 fn fig8_sweep_is_thread_count_independent_and_seed_sensitive() {
-    use aegis_experiments::fig8;
     let sweep = |seed: u64, threads: Option<usize>| {
         let opts = RunOptions {
             pages: 3,
@@ -932,7 +961,7 @@ fn fig8_sweep_is_thread_count_independent_and_seed_sensitive() {
             threads,
             ..RunOptions::default()
         };
-        fig8_bits(&fig8::run_with(&opts, &RunObserver::default()))
+        fig8_bits(&fig8_run(&opts, &RunObserver::default(), None).expect("no checkpoint, no stop"))
     };
     let single = sweep(31, Some(1));
     assert_eq!(single, sweep(31, Some(1)), "same seed must replay");
@@ -967,7 +996,7 @@ fn fig8_stream(seed: u64, threads: Option<usize>, traced: bool) -> String {
         tracer: tracer.is_enabled().then_some(&tracer),
         ..RunObserver::default()
     };
-    let _ = aegis_experiments::fig8::run_with(&opts, &observer);
+    let _ = fig8_run(&opts, &observer, None);
     if traced {
         tracer
             .finish("fig8-det")
@@ -1005,10 +1034,7 @@ fn fig8_telemetry_is_byte_identical_across_threads_and_tracing() {
 /// sweep results match bit for bit.
 #[test]
 fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
-    use aegis_experiments::checkpoint::{
-        run_fig8_checkpointed, Checkpoint, CheckpointCtl, Fig8CheckpointOutcome,
-    };
-    use aegis_experiments::fig8;
+    use aegis_experiments::checkpoint::Checkpoint;
     use std::sync::atomic::AtomicBool;
 
     let opts = RunOptions {
@@ -1025,7 +1051,7 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("f8-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        let _ = fig8::run_with(&opts, &observer);
+        let _ = fig8_run(&opts, &observer, None);
         run.finish().expect("finish");
         buf.text()
     };
@@ -1045,10 +1071,10 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("f8-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        match run_fig8_checkpointed(&opts, &observer, &ctl).expect("checkpointed run") {
-            Fig8CheckpointOutcome::Interrupted => {}
-            Fig8CheckpointOutcome::Complete(_) => panic!("pending interrupt must stop the run"),
-        }
+        assert!(
+            fig8_run(&opts, &observer, Some(&ctl)).is_none(),
+            "pending interrupt must stop the run"
+        );
         assert!(path.exists(), "interruption must leave a snapshot behind");
         run.finish().expect("finish");
     }
@@ -1068,10 +1094,8 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("f8-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        let results = match run_fig8_checkpointed(&opts, &observer, &ctl).expect("resumed run") {
-            Fig8CheckpointOutcome::Complete(results) => results,
-            Fig8CheckpointOutcome::Interrupted => panic!("nothing interrupts the resumed leg"),
-        };
+        let results =
+            fig8_run(&opts, &observer, Some(&ctl)).expect("nothing interrupts the resumed leg");
         run.finish().expect("finish");
         (results, buf.text())
     };
@@ -1081,7 +1105,7 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
         strip_volatile(&straight_stream),
         "resume must serialize the straight run's deterministic stream byte for byte"
     );
-    let straight = fig8::run_with(&opts, &RunObserver::default());
+    let straight = fig8_run(&opts, &RunObserver::default(), None).expect("no checkpoint, no stop");
     assert_eq!(fig8_bits(&resumed), fig8_bits(&straight));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1091,7 +1115,7 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
 /// contract for the new figure.
 #[test]
 fn fig8_shard_stripes_reproduce_the_full_sweep() {
-    use aegis_experiments::shardmerge::{run_fig8_shard_units, shard_range};
+    use aegis_experiments::shardmerge::shard_range;
 
     let opts = RunOptions {
         pages: 4,
@@ -1099,11 +1123,15 @@ fn fig8_shard_stripes_reproduce_the_full_sweep() {
         ..RunOptions::default()
     };
     let observer = RunObserver::default();
-    let full = run_fig8_shard_units(&opts, &observer, 0, opts.pages);
+    let stripe = |pages| {
+        campaign_units(Campaign::Fig8, &opts, pages, &observer, None)
+            .expect("no checkpoint, no stop")
+    };
+    let full = stripe(0..opts.pages);
     let parts: Vec<_> = (0..2usize)
         .map(|shard_id| {
             let (lo, hi) = shard_range(opts.pages, 2, shard_id);
-            run_fig8_shard_units(&opts, &observer, lo, hi)
+            stripe(lo..hi)
         })
         .collect();
     for (unit_idx, unit) in full.iter().enumerate() {
@@ -1138,7 +1166,7 @@ fn fig8_shard_stripes_reproduce_the_full_sweep() {
 /// results back together reproduces the full run bit for bit.
 #[test]
 fn shard_stripes_tile_and_reproduce_the_full_run() {
-    use aegis_experiments::shardmerge::{run_shard_units, shard_range};
+    use aegis_experiments::shardmerge::shard_range;
 
     let opts = RunOptions {
         pages: 5,
@@ -1158,11 +1186,12 @@ fn shard_stripes_tile_and_reproduce_the_full_run() {
     }
 
     let observer = RunObserver::default();
-    let full = run_shard_units(&opts, &observer, false, 0, opts.pages);
-    let parts: Vec<_> = edges
-        .iter()
-        .map(|&(lo, hi)| run_shard_units(&opts, &observer, false, lo, hi))
-        .collect();
+    let stripe = |pages| {
+        campaign_units(Campaign::Fig567, &opts, pages, &observer, None)
+            .expect("no checkpoint, no stop")
+    };
+    let full = stripe(0..opts.pages);
+    let parts: Vec<_> = edges.iter().map(|&(lo, hi)| stripe(lo..hi)).collect();
     for (unit_idx, unit) in full.iter().enumerate() {
         let mut lifetimes = Vec::new();
         let mut faults = Vec::new();

@@ -1,9 +1,32 @@
 //! Smoke tests of the experiment harness at miniature scale: determinism,
 //! CSV emission, and the paper's headline orderings.
 
-use aegis_experiments::runner::RunOptions;
-use aegis_experiments::{failcdf, fig10, fig567, fig8, fig9, table1, variants};
+use aegis_experiments::campaign::Campaign;
+use aegis_experiments::fig567::{self, Fig567};
+use aegis_experiments::fig8::{self, Fig8};
+use aegis_experiments::runner::{RunObserver, RunOptions};
+use aegis_experiments::{failcdf, fig10, fig9, table1, variants};
 use pcm_sim::montecarlo::FailureCriterion;
+
+/// The fig5/6/7 campaign through the executor.
+fn fig567_run(opts: &RunOptions) -> Fig567 {
+    let specs = Campaign::Fig567.specs(opts, false);
+    let units = Campaign::Fig567
+        .run(&specs, 0..opts.pages, &RunObserver::default(), None)
+        .expect("no checkpoint, no I/O")
+        .expect("no checkpoint, no stop");
+    fig567::assemble(&specs, &units)
+}
+
+/// The fig8 campaign through the executor.
+fn fig8_run(opts: &RunOptions) -> Fig8 {
+    let specs = Campaign::Fig8.specs(opts, false);
+    let units = Campaign::Fig8
+        .run(&specs, 0..opts.pages, &RunObserver::default(), None)
+        .expect("no checkpoint, no I/O")
+        .expect("no checkpoint, no stop");
+    fig8::assemble(&units.into_iter().map(|unit| unit.run).collect::<Vec<_>>())
+}
 
 fn tiny() -> RunOptions {
     RunOptions {
@@ -25,7 +48,7 @@ fn table1_reproduces_all_printed_values_except_documented_rw_cells() {
 
 #[test]
 fn fig5_headline_orderings_hold_even_at_tiny_scale() {
-    let results = fig567::run(&tiny());
+    let results = fig567_run(&tiny());
     let (_, summaries) = &results.by_block[1]; // 512-bit
     let get = |name: &str| {
         summaries
@@ -77,7 +100,7 @@ fn failcdf_hard_ftc_boundaries_are_exact() {
 
 #[test]
 fn fig8_sweep_orders_masking_against_the_pointer_schemes() {
-    let results = fig8::run(&tiny());
+    let results = fig8_run(&tiny());
     let classic = &results.by_fraction[0];
     assert_eq!(classic.0, 0);
     let get = |name: &str| {
@@ -148,8 +171,8 @@ fn variants_report_paper_section_3_3_effects() {
 
 #[test]
 fn runs_are_deterministic_across_invocations() {
-    let a = fig567::run(&tiny());
-    let b = fig567::run(&tiny());
+    let a = fig567_run(&tiny());
+    let b = fig567_run(&tiny());
     for ((bits_a, sa), (bits_b, sb)) in a.by_block.iter().zip(&b.by_block) {
         assert_eq!(bits_a, bits_b);
         for (x, y) in sa.iter().zip(sb) {
@@ -167,7 +190,7 @@ fn csv_files_are_written() {
     let opts = tiny();
     let t = table1::run(512);
     table1::write_csv(&t, &dir).unwrap();
-    let f = fig567::run(&opts);
+    let f = fig567_run(&opts);
     fig567::write_csvs(&f, &dir).unwrap();
     let v = variants::run(&opts);
     variants::write_csvs(&v, &dir).unwrap();
